@@ -190,13 +190,20 @@ def _structure_for_request(profile, rho_text, vanishings_text):
     if (rho_text is None) == (vanishings_text is None):
         raise _Invalid("exactly one of --rho or --vanishings is required")
     if rho_text is not None:
-        parts = rho_text if isinstance(rho_text, list) else rho_text.split(",")
+        if isinstance(rho_text, str):
+            parts = rho_text.split(",")
+        elif isinstance(rho_text, list) and all(isinstance(p, str) for p in rho_text):
+            parts = rho_text
+        else:
+            raise _Invalid("rho must be a string or a list of strings")
         residues = _residues_from_text(parts)
         if residues.n != profile.n:
             raise _Invalid(
                 f"{residues.n} residues given for {profile.n} poles"
             )
         return vanishing_subsets(residues), residues
+    if not isinstance(vanishings_text, str):
+        raise _Invalid("vanishings must be a string")
     masks = _parse_vanishings(vanishings_text, profile.n)
     try:
         return structure_from_generators(profile.n, masks), None
@@ -307,34 +314,26 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if report["match"] else EXIT_MISMATCH
 
 
+# The checks behind each suite, by name in ``verification``, with the verify
+# flags each one takes; a flag left out falls back to the check's default.
+_N_B = ("n_max", "b_max")
 _SUITES = {
-    "identities": ("zero identity and two-nonzero identity", lambda args: [
-        verification.check_zero_identity(args.n_max or 7, args.b_max or 5),
-        verification.check_two_nonzero_identity(args.n_max or 7, args.b_max or 4),
-    ]),
-    "special-cases": ("general and one-vanishing laws", lambda args: [
-        verification.check_general_residue_law(args.n_max or 8, args.b_max or 5),
-        verification.check_one_vanishing_law(args.n_max or 7, args.b_max or 4),
-    ]),
-    "recursion": ("boundary recursion equivalence", lambda args: [
-        verification.check_recursion_equivalence(args.n_max or 6, args.b_max or 4),
-    ]),
-    "oracle": ("elimination oracle and multiplier bridge", lambda args: [
-        verification.check_oracle_equivalence(args.sum_b_max or 10, args.seeds or 20),
-        verification.check_multiplier_bridge(),
-    ]),
-    "monotonic": ("monotone decrease and vanishing criterion", lambda args: [
-        verification.check_monotonic_vanishing(args.n_max or 6, args.b_max or 4),
-    ]),
-    "degree": ("polynomial degree fits", lambda args: [
-        verification.check_degree_interpolation(args.n_max or 5),
-    ]),
+    "identities": {"check_zero_identity": _N_B, "check_two_nonzero_identity": _N_B},
+    "special-cases": {"check_general_residue_law": _N_B, "check_one_vanishing_law": _N_B},
+    "recursion": {"check_recursion_equivalence": _N_B},
+    "oracle": {"check_oracle_equivalence": ("sum_b_max", "seeds"), "check_multiplier_bridge": ()},
+    "monotonic": {"check_monotonic_vanishing": _N_B},
+    "degree": {"check_degree_interpolation": ("n_max",)},
 }
 
 
 def _cmd_verify(args) -> int:
-    _, runner = _SUITES[args.suite]
-    results = runner(args)
+    results = [
+        getattr(verification, name)(**{
+            flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None
+        })
+        for name, flags in _SUITES[args.suite].items()
+    ]
     all_passed = all(r.passed for r in results)
     if args.json:
         print(json.dumps([
@@ -351,6 +350,16 @@ def _cmd_verify(args) -> int:
         for r in results:
             print(r.summary())
     return EXIT_OK if all_passed else EXIT_FAILED
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_profile_flags(parser):
@@ -388,10 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification sweep")
     verify.add_argument("suite", choices=sorted(_SUITES))
-    verify.add_argument("--n-max", type=int, default=None)
-    verify.add_argument("--b-max", type=int, default=None)
-    verify.add_argument("--sum-b-max", type=int, default=None)
-    verify.add_argument("--seeds", type=int, default=None)
+    verify.add_argument("--n-max", type=_positive_int)
+    verify.add_argument("--b-max", type=_positive_int)
+    verify.add_argument("--sum-b-max", type=_positive_int)
+    verify.add_argument("--seeds", type=_positive_int)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 

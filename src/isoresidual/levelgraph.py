@@ -109,20 +109,26 @@ def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[Two
     return tuple(out)
 
 
-def _local_structure(bits: tuple[int, ...], member) -> VanishingStructure:
-    """Structure on a component, re-indexed to local labels; ``member``
-    decides global-mask membership.  Components have at least two poles."""
-    size = len(bits)
-    qualifying = []
-    for local in range(1, full_mask(size), 2):  # canonical: contains local 1
-        gmask = 0
-        rest = local
-        while rest:
-            low = rest & -rest
-            gmask |= 1 << bits[low.bit_length() - 1]
-            rest ^= low
-        if member(gmask):
-            qualifying.append(local)
+def _lift(local: Mask, pieces: tuple[Mask, ...]) -> Mask:
+    """Global mask covered by the pieces a local mask selects (bit i picks
+    pieces[i])."""
+    out = 0
+    while local:
+        low = local & -local
+        out |= pieces[low.bit_length() - 1]
+        local ^= low
+    return out
+
+
+def _inherited(pieces: tuple[Mask, ...], kernel) -> VanishingStructure:
+    """Structure on len(pieces) local labels: the canonical local subsets
+    whose lifted global subset lies in the span the kernel encodes."""
+    size = len(pieces)
+    qualifying = [
+        local
+        for local in range(1, full_mask(size), 2)  # canonical: contains local 1
+        if kernel_contains(kernel, _lift(local, pieces))
+    ]
     return structure_from_generators(size, qualifying)
 
 
@@ -144,18 +150,12 @@ class InducedStructures:
 
 
 @lru_cache(maxsize=None)
-def induced_structures(
-    graph: TwoLevelGraph,
-    previous: VanishingStructure,
-    include_block_sums: bool = True,
-) -> InducedStructures:
+def induced_structures(graph: TwoLevelGraph, previous: VanishingStructure) -> InducedStructures:
     """Vanishing structures inherited by the top components and the bottom.
 
     Top components inherit every subset condition that holds identically on
-    the boundary stratum; by default that span includes the component sums
-    themselves, which the Residue Theorem forces on each component
-    (include_block_sums=False keeps only conditions generated by the
-    previous structure, a strictly weaker reading kept for comparison).
+    the boundary stratum; that span includes the component sums themselves,
+    which the Residue Theorem forces on each component.
 
     The node residues at the bottom range over the image of the admissible
     residue tuples under the per-component summation map.  The bottom
@@ -167,55 +167,47 @@ def induced_structures(
         raise ValueError("graph and structure disagree on the pole count")
     base = structure_kernel(previous)
     top_kernel = base
-    if include_block_sums:
-        for block in graph.blocks:
-            top_kernel = kernel_reduce(top_kernel, block)
-
-    tops = []
     for block in graph.blocks:
-        if block.bit_count() == 1:
-            tops.append(None)
-            continue
-        bits = tuple(i - 1 for i in indices_from_mask(block))
-        tops.append(_local_structure(bits, lambda g: kernel_contains(top_kernel, g)))
+        top_kernel = kernel_reduce(top_kernel, block)
+    # Single-pole components are bubbles and carry no residue moduli.
+    tops = tuple(
+        _inherited(tuple(1 << (i - 1) for i in indices_from_mask(block)), top_kernel)
+        if block.bit_count() > 1
+        else None
+        for block in graph.blocks
+    )
 
-    m = graph.m
     images = [tuple(mask_dot(row, block) for block in graph.blocks) for row in base]
     image_basis = integer_row_basis(images)
     bottom_dim = len(image_basis)
     if bottom_dim == 0:
-        bottom = identically_zero_structure(m)
+        bottom = identically_zero_structure(graph.m)
     elif bottom_dim == 1:
         direction = ResidueTuple(
             tuple(GaussianRational(Fraction(x)) for x in image_basis[0])
         )
         bottom = vanishing_subsets(direction)
     else:
-
-        def node_member(node_mask: Mask) -> bool:
-            union = 0
-            rest = node_mask
-            while rest:
-                low = rest & -rest
-                union |= graph.blocks[low.bit_length() - 1]
-                rest ^= low
-            return kernel_contains(base, union)
-
-        qualifying = [t for t in range(1, full_mask(m), 2) if node_member(t)]
-        bottom = structure_from_generators(m, qualifying)
-    return InducedStructures(tuple(tops), bottom, bottom_dim)
+        bottom = _inherited(graph.blocks, base)
+    return InducedStructures(tops, bottom, bottom_dim)
 
 
-def _block_profile(profile: OrderProfile, block: Mask) -> OrderProfile:
-    orders = tuple(profile.b[i - 1] for i in indices_from_mask(block))
-    return OrderProfile.from_pole_orders(orders)
+@lru_cache(maxsize=None)
+def _level(
+    previous: VanishingStructure, new_subset: Mask
+) -> tuple[tuple[TwoLevelGraph, InducedStructures], ...]:
+    """The strata one recursion step sums over, each boundary graph with the
+    structures it induces; built once and shared by every order profile."""
+    return tuple(
+        (graph, induced_structures(graph, previous))
+        for graph in boundary_graphs(previous, new_subset)
+    )
 
 
 def count_recursive(
     profile: OrderProfile,
     structure: VanishingStructure,
     *,
-    include_block_sums: bool = True,
     generator_order=None,
     trace: list | None = None,
 ) -> int:
@@ -249,55 +241,49 @@ def count_recursive(
     total = _count_total(profile, trivial_structure(n))
     previous = trivial_structure(n)
     for level, new_subset in enumerate(generators, start=1):
-        level_entry = {
-            "level": level,
-            "generator": list(indices_from_mask(new_subset)),
-            "terms": [],
-        }
+        terms = []
         correction = 0
-        for graph in boundary_graphs(previous, new_subset):
-            induced = induced_structures(graph, previous, include_block_sums)
-            entry = {
-                "blocks": [list(indices_from_mask(b)) for b in graph.blocks],
-                "twist": str(twist(graph, profile)),
-                "bottom_dim": induced.bottom_dim,
-            }
+        for graph, induced in _level(previous, new_subset):
+            if trace is not None:
+                entry = {
+                    "blocks": [list(indices_from_mask(b)) for b in graph.blocks],
+                    "twist": str(twist(graph, profile)),
+                    "bottom_dim": induced.bottom_dim,
+                }
+                terms.append(entry)
             if induced.bottom_dim != 1:
                 # dim 0: the node residues are forced to zero (no such
                 # differential); dim >= 2: the bottom is not rigid.  Either
                 # way the stratum contributes nothing.
                 if trace is not None:
                     entry["skipped"] = "bottom-not-rigid"
-                    level_entry["terms"].append(entry)
                 continue
-            bottom_profile = OrderProfile.from_pole_orders(
-                tuple(profile.order_sum(b) for b in graph.blocks)
-            )
-            term = _count_total(bottom_profile, induced.bottom)
-            factors = [str(term)]
-            for block, top in zip(graph.blocks, induced.tops):
+            sums = tuple(profile.order_sum(b) for b in graph.blocks)
+            bottom_count = term = _count_total(OrderProfile.from_pole_orders(sums), induced.bottom)
+            top_factors = []
+            for block, block_total, top in zip(graph.blocks, sums, induced.tops):
                 if term == 0:
                     break
                 if top is None:
                     # Semistable bubble: (order-1) * falling_f(order-2, 1) == 1.
                     continue
-                block_total = profile.order_sum(block)
-                top_count = _count_total(_block_profile(profile, block), top)
+                orders = tuple(profile.b[i - 1] for i in indices_from_mask(block))
+                top_count = _count_total(OrderProfile.from_pole_orders(orders), top)
                 term *= (block_total - 1) * top_count
-                factors.append(f"{block_total - 1}*{top_count}")
+                top_factors.append((block_total - 1, top_count))
             correction += term
             if trace is not None:
-                entry["factors"] = factors
+                entry["factors"] = [str(bottom_count)] + [f"{t}*{c}" for t, c in top_factors]
                 entry["term"] = str(term)
-                if include_block_sums:
-                    alt = induced_structures(graph, previous, False)
-                    entry["top_span_readings_differ"] = alt.tops != induced.tops
-                level_entry["terms"].append(entry)
         total -= correction
-        previous = structure_from_generators(n, generators[:level])
+        previous = structure_from_generators(n, previous.generators + (new_subset,))
         if trace is not None:
-            level_entry["running_total"] = str(total)
-            trace.append(level_entry)
+            trace.append({
+                "level": level,
+                "generator": list(indices_from_mask(new_subset)),
+                "terms": terms,
+                "running_total": str(total),
+            })
     if not isinstance(total, int):
         raise NonIntegralResult(f"recursive count {total} is not an integer")
     return total

@@ -67,8 +67,11 @@ class OrderProfile:
         object.__setattr__(self, "b", tuple(self.b))
         if len(self.b) < 2:
             raise ValueError("need at least two poles")
-        if any(not isinstance(x, int) or x < 1 for x in self.b):
+        # type() and not isinstance(): a bool is an int but not an order.
+        if any(type(x) is not int or x < 1 for x in self.b):
             raise ValueError("pole orders must be positive integers")
+        if type(self.a) is not int:
+            raise ValueError("zero order must be an integer")
         if self.a != sum(self.b) - 2:
             raise ValueError(
                 f"zero order {self.a} does not match pole orders (expected "

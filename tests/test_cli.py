@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from isoresidual import verification
 from isoresidual.cli import main
 
 
@@ -145,6 +146,27 @@ class TestBatch:
         assert "error" in reports[1] and reports[1]["line"] == 2
         assert reports[2]["total"] == "9"
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"b": [2, 2, 2], "vanishings": 5},
+            {"b": [2, 2, 2], "rho": 5},
+            {"b": [2, 2, 2], "rho": [2, -1, -1]},
+            {"b": [True, 2], "rho": ["1", "-1"]},
+            {"mu": [1, True, 2], "rho": ["1", "-1"]},
+            {"mu": [True, 1, 2], "rho": ["1", "-1"]},
+        ],
+    )
+    def test_bad_field_type_is_a_line_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "typed.jsonl"
+        good = {"b": [2, 2, 2], "vanishings": "1"}
+        path.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 1 and "Traceback" not in err
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert set(reports[0]) == {"line", "error"} and reports[0]["line"] == 1
+        assert reports[1]["line"] == 2 and reports[1]["total"] == "1"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "/nonexistent/path.jsonl")
         assert code == 2
@@ -205,6 +227,30 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload[0]["failures"] == 0
+
+    @pytest.fixture
+    def sweep_calls(self, monkeypatch):
+        """Stands in for the recursion sweep and records its arguments."""
+        calls = []
+
+        def fake(**kwargs):
+            calls.append(kwargs)
+            return verification.SuiteResult("fake")
+
+        monkeypatch.setattr(verification, "check_recursion_equivalence", fake)
+        return calls
+
+    @pytest.mark.parametrize("flag", ["--n-max", "--b-max", "--sum-b-max", "--seeds"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bounds_below_one_rejected(self, capsys, sweep_calls, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "recursion", f"{flag}={value}"])
+        assert exc.value.code == 2 and sweep_calls == []
+
+    def test_only_given_bounds_are_passed(self, capsys, sweep_calls):
+        assert main(["verify", "recursion"]) == 0
+        assert main(["verify", "recursion", "--b-max", "2", "--seeds", "3"]) == 0
+        assert sweep_calls == [{}, {"b_max": 2}]
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -154,16 +154,6 @@ class TestCountRecursive:
         with pytest.raises(ValueError):
             count_recursive(MU_4, structure, generator_order=(0b0011,))
 
-    def test_weak_top_reading_diverges(self):
-        # keeping only the previous structure's conditions on top components
-        # is not equivalent; this pins why the component sums are included
-        profile = OrderProfile.from_pole_orders((2, 2, 2, 2, 2))
-        structure = structure_from_generators(5, [0b00001, 0b00101, 0b01001])
-        good = count_recursive(profile, structure)
-        assert good == count_closed_form(profile, structure).total
-        weak = count_recursive(profile, structure, include_block_sums=False)
-        assert weak != good
-
     def test_trace_is_json_ready(self):
         trace = []
         structure = structure_from_generators(4, [0b0011, 0b0101])

@@ -1,0 +1,72 @@
+"""Report bytes on a fixed corpus, pinned by SHA-256.
+
+The corpus is the README's `count` examples, one `multipliers` call, one
+`batch` file and one traced recursion.  A change that is meant to keep
+reports byte-identical must pass unchanged; a change that alters a report
+updates its digest and says which fields changed and why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from isoresidual.cli import main
+
+BATCH = object()  # stands for the path of the batch file below
+
+BATCH_LINES = [
+    {"mu": [2, 1, 1, 2], "rho": ["2", "-1", "-1"]},
+    {"mu": [4, 2, 2, 1, 1], "vanishings": "1,2", "recursive": True},
+    {"b": [2, 1, 1], "vanishings": "3", "oracle": True, "seed": 2},
+    {"b": [3, 1, 2, 2, 1], "rho": ["1/2", "-1/2+i", "3", "-3", "-i"]},
+    {"mu": [2, 1, 1, 2], "rho": ["0", "0", "0"]},
+]
+
+CORPUS = [
+    pytest.param(
+        ("count", "--mu", "2,1,1,2", "--rho", "2,-1,-1"),
+        "a8a60948725d6c78acbd10838fa0b6481d51d067557efae2f3c5da582bab6e94",
+        id="count-generic",
+    ),
+    pytest.param(
+        ("count", "--mu", "4,2,2,1,1", "--vanishings", "1,2"),
+        "707a02608f6384e46a943ad4072cf2a0f7015567948bb39336b83abe0c270f66",
+        id="count-one-vanishing",
+    ),
+    pytest.param(
+        ("count", "--b", "2,2,1,1", "--vanishings", "1,2;1,3", "--recursive", "--json"),
+        "cb52e89855effadf79734a88d883d5d10e8d0a8212f4d0554a620a147444b664",
+        id="count-recursive-json",
+    ),
+    pytest.param(
+        ("count", "--mu", "2,1,1,2", "--rho", "0,0,0"),
+        "bc28a71cb5a924ebed25449a1013b8edc8d88850d129cc2d341c27ecc54c175b",
+        id="count-zero-tuple",
+    ),
+    pytest.param(
+        ("multipliers", "--lambdas", "0,1/2,4/3"),
+        "254445e115ca9199af481e07372a5e1224509be96c501cc38b3a284d4189eda5",
+        id="multipliers",
+    ),
+    pytest.param(
+        ("batch", BATCH),
+        "e19012ce6fc36fc38f15bc618709ac34bbc835e82108fe3a1bec38993713b73a",
+        id="batch",
+    ),
+    pytest.param(
+        ("count", "--b", "2,2,2,2,2", "--vanishings", "1;1,3;1,4",
+         "--recursive", "--trace", "--json"),
+        "92938fd006bb3a9bebd54cf28c5b620ca3e432795967d65642141cca5a48ac1e",
+        id="count-recursive-trace",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CORPUS)
+def test_report_bytes(tmp_path, capsys, argv, digest):
+    path = tmp_path / "requests.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in BATCH_LINES))
+    assert main([str(path) if arg is BATCH else arg for arg in argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
