@@ -246,13 +246,21 @@ def _cmd_batch(args) -> int:
                     profile = OrderProfile.from_pole_orders(tuple(request["b"]))
                 else:
                     raise _Invalid("request needs 'mu' or 'b'")
+                seed = request.get("seed", 0)
+                # type() and not isinstance(): a bool is an int but no seed.
+                if type(seed) is not int:
+                    raise _Invalid("seed must be an integer")
+                switches = {
+                    key: request.get(key, False) for key in ("recursive", "oracle")
+                }
+                for key, value in switches.items():
+                    if type(value) is not bool:
+                        raise _Invalid(f"{key} must be true or false")
                 structure, residues = _structure_for_request(
                     profile, request.get("rho"), request.get("vanishings")
                 )
                 report, mismatch = _build_report(
-                    profile, structure, residues, request.get("seed", 0),
-                    recursive=request.get("recursive", False),
-                    oracle=request.get("oracle", False),
+                    profile, structure, residues, seed, **switches
                 )
                 report["line"] = line_no
                 any_mismatch = any_mismatch or mismatch
@@ -315,7 +323,8 @@ def _cmd_oracle(args) -> int:
 
 
 # The checks behind each suite, by name in ``verification``, with the verify
-# flags each one takes; a flag left out falls back to the check's default.
+# bounds each one takes; a bound left out falls back to the check's default.
+_BOUNDS = ("n_max", "b_max", "sum_b_max", "seeds")
 _N_B = ("n_max", "b_max")
 _SUITES = {
     "identities": {"check_zero_identity": _N_B, "check_two_nonzero_identity": _N_B},
@@ -328,11 +337,18 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    suite = _SUITES[args.suite]
+    taken = {flag for flags in suite.values() for flag in flags}
+    for flag in _BOUNDS:
+        if getattr(args, flag) is not None and flag not in taken:
+            raise _Invalid(
+                f"verify {args.suite} does not take --{flag.replace('_', '-')}"
+            )
     results = [
         getattr(verification, name)(**{
             flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None
         })
-        for name, flags in _SUITES[args.suite].items()
+        for name, flags in suite.items()
     ]
     all_passed = all(r.passed for r in results)
     if args.json:
@@ -397,10 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification sweep")
     verify.add_argument("suite", choices=sorted(_SUITES))
-    verify.add_argument("--n-max", type=_positive_int)
-    verify.add_argument("--b-max", type=_positive_int)
-    verify.add_argument("--sum-b-max", type=_positive_int)
-    verify.add_argument("--seeds", type=_positive_int)
+    for flag in _BOUNDS:
+        verify.add_argument("--" + flag.replace("_", "-"), type=_positive_int)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 

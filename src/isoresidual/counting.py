@@ -107,7 +107,8 @@ def _count_total(profile: OrderProfile, structure: VanishingStructure) -> int:
 def count_general(profile: OrderProfile) -> int:
     """Count for residues with no vanishing partial sums: falling_f(a, n)."""
     out = falling_f(profile.a, profile.n)
-    assert isinstance(out, int)
+    if not isinstance(out, int):
+        raise NonIntegralResult(f"count {out} is not an integer")
     return out
 
 

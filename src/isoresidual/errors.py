@@ -25,6 +25,11 @@ class NegativeResult(IsoresidualError, ArithmeticError):
     """A count came out negative; this always indicates an internal bug."""
 
 
+class InexactDivision(IsoresidualError, ArithmeticError):
+    """A polynomial division that must be exact left a remainder; this always
+    indicates an internal bug."""
+
+
 class InterpolationMismatch(IsoresidualError, ArithmeticError):
     """An exact polynomial fit failed to reproduce a held-out evaluation."""
 

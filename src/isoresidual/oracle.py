@@ -19,6 +19,7 @@ from math import factorial
 from .counting import count_closed_form
 from .errors import (
     DegenerateInput,
+    InexactDivision,
     IndexConstraintViolated,
     ParabolicMultiplier,
     TransversalityWarning,
@@ -163,7 +164,8 @@ class Poly:
             return self.monic()
         g = Poly.gcd(self, self.derivative())
         q, r = divmod(self, g)
-        assert not r
+        if r:
+            raise InexactDivision(f"{g!r} does not divide {self!r}")
         return q.monic()
 
     def __repr__(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .profiles import Mask, VanishingStructure, canonical_mask, full_mask
+from .profiles import Mask, VanishingStructure, full_mask
 
 ZeroSumPartition = tuple[Mask, ...]
 
@@ -34,13 +34,9 @@ def iter_set_partitions(mask: Mask):
 
 
 def _qualifying_masks(structure: VanishingStructure) -> frozenset:
-    n = structure.n
-    full = full_mask(n)
-    out = {full}
-    for mask in range(1, full):
-        if canonical_mask(mask, n) in structure.closure:
-            out.add(mask)
-    return frozenset(out)
+    full = full_mask(structure.n)
+    closure = structure.closure
+    return closure | {full} | {mask ^ full for mask in closure}
 
 
 def _expand(remaining: Mask, qualifying) -> list[ZeroSumPartition]:

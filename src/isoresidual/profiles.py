@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from ._linalg import Kernel, kernel_contains, kernel_reduce, ones_kernel
 from .errors import RealizationExhausted
@@ -217,19 +218,39 @@ def identically_zero_structure(n: int) -> VanishingStructure:
     return structure_from_generators(n, [1 << i for i in range(n - 1)])
 
 
+def _zero_sum_closure(packed: list[int]) -> frozenset[Mask]:
+    """Canonical masks whose subset sum of ``packed`` is zero.
+
+    The table is built by doubling from pole 1's value, so entry k is the
+    sum over the canonical mask 2k + 1; the last entry is the full set,
+    which always sums to zero and is no proper subset.
+    """
+    sums = packed[:1]
+    for x in packed[1:]:
+        sums += [s + x for s in sums]
+    sums.pop()
+    return frozenset(2 * k + 1 for k, s in enumerate(sums) if not s)
+
+
+def _packed(values: tuple[GaussianRational, ...]) -> list[int]:
+    """One int per residue whose subset sums vanish exactly where the
+    residues' do: (re, im) scaled by the lcm of every denominator to ints
+    (R, I) and packed as R*M + I, with M beyond twice any |sum of I|."""
+    scale = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+    parts = [(int(v.re * scale), int(v.im * scale)) for v in values]
+    m = 2 * sum(abs(im) for _, im in parts) + 1
+    return [re * m + im for re, im in parts]
+
+
 def vanishing_subsets(residues: ResidueTuple) -> VanishingStructure:
     """Exact vanishing structure of a residue tuple.
 
-    The closure is found by direct subset summation; the generators are the
-    greedy independent subfamily in canonical order.
+    The closure is found by integer summation over every subset; the
+    generators are the greedy independent subfamily in canonical order.
     """
     n = residues.n
     _check_n(n)
-    sums = [GaussianRational(Fraction(0))] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + residues.values[low.bit_length() - 1]
-    closure = frozenset(m for m in _canonical_masks(n) if not sums[m])
+    closure = _zero_sum_closure(_packed(residues.values))
     gens = _greedy_generators(n, closure)
     return VanishingStructure(n, gens, closure, len(gens))
 
@@ -255,14 +276,14 @@ def realize_residues(structure: VanishingStructure, seed: int) -> ResidueTuple:
     basis = structure_kernel(structure)
     rng = random.Random(seed)
     for attempt in range(64):
-        bound = 8 * (attempt + 1)
+        # Up by 8 per attempt, which small structures never outgrow, then
+        # doubling: at 16 poles a candidate has to miss up to 2^15
+        # hyperplanes, far more than a bound of 64 can.
+        bound = 8 * (attempt + 1) if attempt < 8 else 64 << (attempt - 7)
         coeffs = [rng.randint(-bound, bound) for _ in basis]
         vec = [sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(n)]
-        if not any(vec):
-            continue
-        candidate = ResidueTuple(tuple(GaussianRational(Fraction(x)) for x in vec))
-        if vanishing_subsets(candidate).closure == structure.closure:
-            return candidate
+        if any(vec) and _zero_sum_closure(vec) == structure.closure:
+            return ResidueTuple(tuple(GaussianRational(Fraction(x)) for x in vec))
     raise RealizationExhausted(
         f"no generic residue tuple found for rank-{structure.rank} structure "
         f"on {n} poles with seed {seed}"

@@ -155,6 +155,11 @@ class TestBatch:
             {"b": [True, 2], "rho": ["1", "-1"]},
             {"mu": [1, True, 2], "rho": ["1", "-1"]},
             {"mu": [True, 1, 2], "rho": ["1", "-1"]},
+            {"b": [2, 2, 2], "vanishings": "1", "seed": 1.5},
+            {"b": [2, 2, 2], "vanishings": "1", "seed": "abc"},
+            {"b": [2, 2, 2], "vanishings": "1", "seed": True},
+            {"b": [2, 1, 1], "vanishings": "3", "oracle": "no"},
+            {"b": [2, 2, 2], "vanishings": "1", "recursive": 1},
         ],
     )
     def test_bad_field_type_is_a_line_error(self, tmp_path, capsys, bad):
@@ -249,8 +254,16 @@ class TestVerify:
 
     def test_only_given_bounds_are_passed(self, capsys, sweep_calls):
         assert main(["verify", "recursion"]) == 0
-        assert main(["verify", "recursion", "--b-max", "2", "--seeds", "3"]) == 0
+        assert main(["verify", "recursion", "--b-max", "2"]) == 0
         assert sweep_calls == [{}, {"b_max": 2}]
+
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [("recursion", "--seeds"), ("degree", "--b-max"), ("identities", "--sum-b-max")],
+    )
+    def test_flag_the_suite_does_not_take_is_rejected(self, capsys, sweep_calls, suite, flag):
+        code, _, err = run(capsys, "verify", suite, flag, "3")
+        assert code == 2 and flag in err and sweep_calls == []
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isoresidual import counting
 from isoresidual.counting import (
     check_monotonicity,
     check_polynomial_degree,
@@ -11,6 +14,7 @@ from isoresidual.counting import (
     degenerate_simple_poles,
     zero_identity_value,
 )
+from isoresidual.errors import NonIntegralResult
 from isoresidual.levelgraph import count_recursive
 from isoresidual.profiles import (
     OrderProfile,
@@ -70,6 +74,12 @@ class TestSpecialCases:
     def test_count_general(self):
         assert count_general(MU_3) == 2
         assert count_general(OrderProfile(1, (1, 1, 1))) == 1
+
+    def test_count_general_rejects_a_fraction(self, monkeypatch):
+        # A typed error, not an assert: it must hold under python -O too.
+        monkeypatch.setattr(counting, "falling_f", lambda a, n: Fraction(1, 2))
+        with pytest.raises(NonIntegralResult):
+            count_general(MU_3)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_all_simple_poles_factorial(self, n):

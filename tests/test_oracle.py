@@ -6,6 +6,7 @@ import pytest
 from isoresidual.counting import count_closed_form
 from isoresidual.errors import (
     DegenerateInput,
+    InexactDivision,
     IndexConstraintViolated,
     ParabolicMultiplier,
 )
@@ -51,6 +52,12 @@ class TestPoly:
     def test_squarefree_part(self):
         squared = poly(-2, 1) * poly(-2, 1) * poly(1, 1)
         assert squared.squarefree_part() == poly(-2, 1) * poly(1, 1)
+
+    def test_squarefree_part_rejects_a_remainder(self, monkeypatch):
+        # A typed error, not an assert: it must hold under python -O too.
+        monkeypatch.setattr(Poly, "gcd", staticmethod(lambda a, b: poly(5, 1)))
+        with pytest.raises(InexactDivision):
+            (poly(-2, 1) * poly(-2, 1)).squarefree_part()
 
     def test_gaussian_coefficients(self):
         # p^2 + 1 = (p - i)(p + i)

@@ -193,6 +193,14 @@ class TestRealizeResidues:
         rho = realize_residues(trivial_structure(3), 5)
         assert vanishing_subsets(rho).rank == 0
 
+    @pytest.mark.parametrize(
+        "generators", [(), (0b11, 0b1100, 0b110000)], ids=["trivial", "three-pairs"]
+    )
+    def test_round_trip_at_max_poles(self, generators):
+        structure = structure_from_generators(MAX_POLES, generators)
+        rho = realize_residues(structure, 0)
+        assert vanishing_subsets(rho).closure == structure.closure
+
 
 class TestRefinement:
     def test_trivial_refines_everything(self):
@@ -243,3 +251,43 @@ def test_vanishing_structure_matches_realization(data):
     for mask in range(1, full_mask(n)):
         expected = structure.contains(mask)
         assert (rho.subset_sum(mask) == gr(0)) == expected
+
+
+def _cancelling(draw, count, cancel):
+    """count rationals with denominators up to 10^6; they sum to zero when
+    cancel is set."""
+    values = [
+        Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 10**6)))
+        for _ in range(count - 1 if cancel else count)
+    ]
+    return values + [-sum(values)] if cancel else values
+
+
+@st.composite
+def grouped_residues(draw):
+    """Residues on n = 2..10 poles in groups whose real parts, imaginary
+    parts, both or neither cancel, or whose imaginary parts are minus the
+    real ones (so every subset sum has re = -im); the last pole balances
+    the total."""
+    n = draw(st.integers(2, 10))
+    values = []
+    while len(values) < n - 1:
+        size = draw(st.integers(1, n - 1 - len(values)))
+        kind = draw(st.sampled_from(["both", "re", "im", "neither", "mirror"]))
+        re = _cancelling(draw, size, kind in ("both", "re"))
+        if kind == "mirror":
+            im = [-x for x in re]
+        else:
+            im = _cancelling(draw, size, kind in ("both", "im"))
+        values += [GaussianRational(x, y) for x, y in zip(re, im)]
+    total = sum(values, gr(0))
+    return ResidueTuple(tuple(values) + (-total,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grouped_residues())
+def test_vanishing_subsets_matches_direct_scan(rho):
+    expected = frozenset(
+        m for m in range(1, full_mask(rho.n), 2) if rho.subset_sum(m) == gr(0)
+    )
+    assert vanishing_subsets(rho).closure == expected

@@ -1,9 +1,10 @@
 """Report bytes on a fixed corpus, pinned by SHA-256.
 
-The corpus is the README's `count` examples, one `multipliers` call, one
-`batch` file and one traced recursion.  A change that is meant to keep
-reports byte-identical must pass unchanged; a change that alters a report
-updates its digest and says which fields changed and why.
+The corpus is the README's `count` examples, one `multipliers` call, two
+`batch` files (the second is one `rho` line at the 16-pole maximum) and one
+traced recursion.  A change that is meant to keep reports byte-identical
+must pass unchanged; a change that alters a report updates its digest and
+says which fields changed and why.
 """
 
 import hashlib
@@ -13,14 +14,39 @@ import pytest
 
 from isoresidual.cli import main
 
-BATCH = object()  # stands for the path of the batch file below
-
 BATCH_LINES = [
     {"mu": [2, 1, 1, 2], "rho": ["2", "-1", "-1"]},
     {"mu": [4, 2, 2, 1, 1], "vanishings": "1,2", "recursive": True},
     {"b": [2, 1, 1], "vanishings": "3", "oracle": True, "seed": 2},
     {"b": [3, 1, 2, 2, 1], "rho": ["1/2", "-1/2+i", "3", "-3", "-i"]},
     {"mu": [2, 1, 1, 2], "rho": ["0", "0", "0"]},
+]
+
+# Sixteen poles: {1,2} and {7,8,9} vanish; the real parts of {3,4} cancel
+# but not their imaginary parts, and the other way round for {5,6}.
+WIDE_LINES = [
+    {
+        "b": [2, 1, 1, 3, 1, 1, 2, 1, 1, 1, 1, 2, 1, 1, 1, 1],
+        "rho": [
+            "1/3+2/7i",
+            "-1/3-2/7i",
+            "5/11+i",
+            "-5/11+3i",
+            "2/13+1/9i",
+            "7/17-1/9i",
+            "3/5-1/2i",
+            "-1/5+1/4i",
+            "-2/5+1/4i",
+            "19/23+5/29i",
+            "-31/37",
+            "41/43i",
+            "-47/53-59/61i",
+            "67/71+73/79i",
+            "-83/89+97/101i",
+            "20272439438/62986294397-3667812293/606938593i",
+        ],
+        "seed": 3,
+    },
 ]
 
 CORPUS = [
@@ -50,9 +76,14 @@ CORPUS = [
         id="multipliers",
     ),
     pytest.param(
-        ("batch", BATCH),
+        ("batch", BATCH_LINES),
         "e19012ce6fc36fc38f15bc618709ac34bbc835e82108fe3a1bec38993713b73a",
         id="batch",
+    ),
+    pytest.param(
+        ("batch", WIDE_LINES),
+        "33aa08701c53594b00aac5ae9f5167684dfed5e26ba0f3ee0aba033a51e31f56",
+        id="batch-16-poles",
     ),
     pytest.param(
         ("count", "--b", "2,2,2,2,2", "--vanishings", "1;1,3;1,4",
@@ -66,7 +97,12 @@ CORPUS = [
 @pytest.mark.parametrize("argv, digest", CORPUS)
 def test_report_bytes(tmp_path, capsys, argv, digest):
     path = tmp_path / "requests.jsonl"
-    path.write_text("".join(json.dumps(line) + "\n" for line in BATCH_LINES))
-    assert main([str(path) if arg is BATCH else arg for arg in argv]) == 0
+    args = []
+    for arg in argv:
+        if isinstance(arg, list):  # the lines of a batch file
+            path.write_text("".join(json.dumps(line) + "\n" for line in arg))
+            arg = str(path)
+        args.append(arg)
+    assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
