@@ -32,7 +32,6 @@ from .levelgraph import (
 )
 from .oracle import (
     Poly,
-    RatFunc,
     count_polynomials_with_multipliers,
     multipliers_to_residues,
     oracle_count,
@@ -67,7 +66,6 @@ __all__ = [
     "MAX_POLES",
     "OrderProfile",
     "Poly",
-    "RatFunc",
     "ResidueTuple",
     "TwoLevelGraph",
     "VanishingStructure",

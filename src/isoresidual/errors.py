@@ -25,17 +25,13 @@ class NegativeResult(IsoresidualError, ArithmeticError):
     """A count came out negative; this always indicates an internal bug."""
 
 
-class InexactDivision(IsoresidualError, ArithmeticError):
-    """A polynomial division that must be exact left a remainder; this always
-    indicates an internal bug."""
-
-
 class InterpolationMismatch(IsoresidualError, ArithmeticError):
     """An exact polynomial fit failed to reproduce a held-out evaluation."""
 
 
 class DegenerateInput(IsoresidualError, ValueError):
-    """Input outside the domain of an operation (e.g. the zero residue tuple)."""
+    """Input outside the domain of an operation (e.g. residue conditions that
+    the elimination oracle finds identically satisfied)."""
 
 
 class ParabolicMultiplier(IsoresidualError, ValueError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError
 
@@ -151,6 +152,14 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({str(self)!r})"
+
+
+def scaled_to_gaussian_integers(values) -> list[tuple[int, int]]:
+    """The values times the lcm of every denominator of their real and
+    imaginary parts, as (re, im) int pairs: Gaussian integers with the same
+    ratios and the same vanishing sums."""
+    scale = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
+    return [(int(v.re * scale), int(v.im * scale)) for v in values]
 
 
 _RAT = re.compile(r"[+-]?\d+(?:/\d+)?")

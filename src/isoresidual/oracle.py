@@ -5,31 +5,29 @@ With the zero at infinity and poles pinned at 0, 1 and an unknown p, the
 residues become exact rational functions of p.  Prescribing a residue tuple
 gives two polynomial conditions on p; the number of distinct roots of their
 gcd (away from the degenerate positions 0 and 1) literally counts the
-differentials, with no input from the closed formula.
+differentials, with no input from the closed formula.  All of it runs over
+polynomials with Gaussian-integer coefficients, with no division in Q(i).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, gcd
 
 from .counting import count_closed_form
 from .errors import (
     DegenerateInput,
-    InexactDivision,
     IndexConstraintViolated,
     ParabolicMultiplier,
     TransversalityWarning,
 )
-from .exactarith import GaussianRational
+from .exactarith import GaussianRational, scaled_to_gaussian_integers
 from .profiles import OrderProfile, ResidueTuple, vanishing_subsets
 
 __all__ = [
     "Poly",
-    "RatFunc",
     "residue_functions",
     "oracle_count",
     "multipliers_to_residues",
@@ -41,19 +39,19 @@ _ONE = GaussianRational(Fraction(1))
 
 
 class Poly:
-    """Dense univariate polynomial over Q(i), ascending coefficients."""
+    """Dense univariate polynomial over the Gaussian integers Z[i].
+
+    Coefficients are ascending (re, im) int pairs; an int c given to the
+    constructor or as a scalar factor stands for (c, 0).
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [c if isinstance(c, GaussianRational) else GaussianRational(Fraction(c)) for c in coeffs]
-        while coeffs and not coeffs[-1]:
+        coeffs = [(c, 0) if isinstance(c, int) else c for c in coeffs]
+        while coeffs and coeffs[-1] == (0, 0):
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def constant(cls, value) -> "Poly":
-        return cls([value])
 
     @classmethod
     def variable(cls) -> "Poly":
@@ -77,34 +75,33 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
+        for i, (re, im) in enumerate(b):
+            out[i] = (out[i][0] + re, out[i][1] + im)
         return Poly(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly([(-re, -im) for re, im in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return Poly([c * other for c in self.coeffs])
+        if not isinstance(other, Poly):
+            sr, si = (other, 0) if isinstance(other, int) else other
+            return Poly([(re * sr - im * si, re * si + im * sr) for re, im in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return Poly()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        out = [(0, 0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, (ar, ai) in enumerate(self.coeffs):
+            for j, (br, bi) in enumerate(other.coeffs):
+                re, im = out[i + j]
+                out[i + j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
         return Poly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = Poly([_ONE])
+        out = Poly([1])
         base = self
         while k:
             if k & 1:
@@ -114,224 +111,135 @@ class Poly:
                 base = base * base
         return out
 
-    def __divmod__(self, other):
+    def derivative(self) -> "Poly":
+        return Poly([(k * re, k * im) for k, (re, im) in enumerate(self.coeffs)][1:])
+
+    def pseudo_divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """(q, r) with lead**k * self == q * other + r and deg r < deg other,
+        where lead is the leading coefficient of other and
+        k = max(deg self - deg other + 1, 0).  A plain divmod when other is
+        monic."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        den = other.coeffs
-        lead = den[-1]
-        quot = [_ZERO] * max(len(rem) - len(den) + 1, 0)
-        for shift in range(len(rem) - len(den), -1, -1):
-            c = rem[shift + len(den) - 1] / lead
-            if c:
-                quot[shift] = c
-                for i, d in enumerate(den):
-                    rem[shift + i] = rem[shift + i] - c * d
+        den = other.coeffs[:-1]
+        lr, li = other.coeffs[-1]
+        monic = (lr, li) == (1, 0)
+        quot = [(0, 0)] * max(len(rem) - len(den), 0)
+        for shift in range(len(rem) - len(den) - 1, -1, -1):
+            cr, ci = rem.pop()
+            if not monic:
+                rem = [(lr * re - li * im, lr * im + li * re) for re, im in rem]
+                quot = [(lr * re - li * im, lr * im + li * re) for re, im in quot]
+            quot[shift] = (cr, ci)
+            for i, (dr, di) in enumerate(den, start=shift):
+                re, im = rem[i]
+                rem[i] = (re - cr * dr + ci * di, im - cr * di - ci * dr)
         return Poly(quot), Poly(rem)
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __call__(self, value: GaussianRational) -> GaussianRational:
-        out = _ZERO
-        for c in reversed(self.coeffs):
-            out = out * value + c
-        return out
-
-    def derivative(self) -> "Poly":
-        return Poly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "Poly":
-        if not self.coeffs:
+    def primitive(self) -> "Poly":
+        """Self divided by the gcd of all its integer coefficient parts."""
+        content = gcd(*(x for c in self.coeffs for x in c))
+        if content <= 1:
             return self
-        lead = self.coeffs[-1]
-        if lead == _ONE:
-            return self
-        return Poly([c / lead for c in self.coeffs])
+        return Poly([(re // content, im // content) for re, im in self.coeffs])
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
+        """A greatest common divisor up to a constant factor, by the
+        primitive polynomial remainder sequence: pseudo-remainders with
+        the integer content divided out after each step, so coefficients
+        stay small and no division in Q(i) is needed."""
         while b:
-            a, b = b, a % b
-        return a.monic()
-
-    def squarefree_part(self) -> "Poly":
-        """Quotient by the gcd with the derivative: same roots, all simple."""
-        if self.degree < 1:
-            return self.monic()
-        g = Poly.gcd(self, self.derivative())
-        q, r = divmod(self, g)
-        if r:
-            raise InexactDivision(f"{g!r} does not divide {self!r}")
-        return q.monic()
+            a, b = b, a.pseudo_divmod(b)[1].primitive()
+        return a.primitive()
 
     def __repr__(self):
         if not self.coeffs:
             return "Poly('0')"
-        parts = [f"({c})*p^{k}" for k, c in enumerate(self.coeffs) if c]
+        parts = [f"({re}{im:+}i)*p^{k}" for k, (re, im) in enumerate(self.coeffs) if re or im]
         return f"Poly({' + '.join(parts)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class RatFunc:
-    """Reduced rational function in the unknown pole position, with a monic
-    denominator so equal functions compare equal componentwise."""
-
-    num: Poly
-    den: Poly
-
-    @classmethod
-    def make(cls, num: Poly, den: Poly) -> "RatFunc":
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return cls(Poly(), Poly([_ONE]))
-        g = Poly.gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.coeffs[-1]
-        if lead != _ONE:
-            num = num * (_ONE / lead)
-            den = den * (_ONE / lead)
-        return cls(num, den)
-
-    def __add__(self, other):
-        return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return RatFunc.make(self.num * other, self.den)
-        return RatFunc.make(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.num)
-
-
-# Bivariate scratch arithmetic: polynomials in z whose coefficients are
-# polynomials in p, held as plain tuples (ascending in z).
-
-def _zp_mul(a, b):
-    out = [Poly()] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-    return tuple(out)
-
-
-def _zp_pow(a, k: int):
-    out = (Poly([_ONE]),)
-    for _ in range(k):
-        out = _zp_mul(out, a)
-    return out
-
-
-def _zp_dz(a):
-    return tuple(c * k for k, c in enumerate(a))[1:] or (Poly(),)
-
-
-def _zp_eval(a, at: Poly) -> Poly:
-    out = Poly()
-    for c in reversed(a):
-        out = out * at + c
-    return out
-
-
 @lru_cache(maxsize=None)
-def residue_functions(profile: OrderProfile) -> tuple[RatFunc, RatFunc, RatFunc]:
+def residue_functions(profile: OrderProfile) -> tuple[tuple[Poly, Poly], ...]:
     """Residues at the poles 0, 1 and p of the normalized differential
-    dz / (z^b1 (z-1)^b2 (z-p)^b3), as exact rational functions of p.
+    dz / (z^b1 (z-1)^b2 (z-p)^b3), as unreduced (num, den) pairs of integer
+    polynomials in p.  Each den is a power of p times a power of p - 1, up
+    to sign.
 
-    The three functions sum to zero identically.
+    The residue at c_k is the coefficient of w^(b_k - 1) in the product over
+    l != k of (w + c_k - c_l)^(-b_l), each factor expanded binomially as
+    (w + d)^(-b) = sum_j (-1)^j C(b + j - 1, j) w^j d^(-b - j).  The three
+    functions sum to zero identically.
     """
     if profile.n != 3:
         raise ValueError("residue functions are implemented for three poles")
-    p = Poly.variable()
-    positions = (Poly(), Poly([_ONE]), p)
-    linear = tuple((-(pos), Poly([_ONE])) for pos in positions)  # z - position
-
+    positions = (Poly(), Poly([1]), Poly.variable())
     out = []
     for k in range(3):
-        order = profile.b[k]
-        complement = (Poly([_ONE]),)
-        for j in range(3):
-            if j != k:
-                complement = _zp_mul(complement, _zp_pow(linear[j], profile.b[j]))
-        # (d/dz)^m (1/g) == u_m / g^(m+1) with u_0 = 1 and
-        # u_{m+1} = u_m' g - (m+1) u_m g'.
-        u = (Poly([_ONE]),)
-        g_dz = _zp_dz(complement)
-        for m in range(order - 1):
-            left = _zp_mul(_zp_dz(u), complement)
-            right = tuple(c * (m + 1) for c in _zp_mul(u, g_dz))
-            width = max(len(left), len(right))
-            left += (Poly(),) * (width - len(left))
-            right += (Poly(),) * (width - len(right))
-            u = tuple(a - b for a, b in zip(left, right))
-        num = _zp_eval(u, positions[k])
-        den = Poly([factorial(order - 1)]) * _zp_eval(complement, positions[k]) ** order
-        out.append(RatFunc.make(num, den))
+        l, m = (j for j in range(3) if j != k)
+        dl, dm = positions[k] - positions[l], positions[k] - positions[m]
+        bl, bm, top = profile.b[l], profile.b[m], profile.b[k] - 1
+        num = Poly()
+        for j in range(top + 1):
+            weight = comb(bl + j - 1, j) * comb(bm + top - j - 1, top - j)
+            num = num + weight * dl ** (top - j) * dm ** j
+        out.append(((-1) ** top * num, dl ** (bl + top) * dm ** (bm + top)))
     return tuple(out)
 
 
 def oracle_count(profile: OrderProfile, residues: ResidueTuple) -> int:
     """Count differentials directly, with no use of the closed formula.
 
-    For two poles the normalization is rigid and the count is 1.  For three
-    poles the residue proportionality conditions are eliminated to a single
-    polynomial in the unknown pole position; factors at the degenerate
+    The zero residue tuple admits no differential and counts 0.  For two
+    poles the normalization is rigid and the count is 1.  For three poles
+    the residue proportionality conditions are eliminated to a single
+    polynomial g in the unknown pole position; factors at the degenerate
     positions 0 and 1 are stripped and the distinct remaining roots are
-    counted as the degree of the squarefree part.  A repeated root triggers
-    a TransversalityWarning but is still counted once.
+    counted as deg g - deg gcd(g, g').  A repeated root triggers a
+    TransversalityWarning but is still counted once.
     """
     if profile.n not in (2, 3):
         raise ValueError("the elimination oracle handles two or three poles")
     if residues.n != profile.n:
         raise ValueError("profile and residues disagree on the pole count")
     if residues.is_zero():
-        raise DegenerateInput("the zero residue tuple admits no differential")
+        return 0
     if profile.n == 2:
         return 1
 
     funcs = residue_functions(profile)
-    values = residues.values
-    anchor = next(i for i in range(3) if values[i])
+    values = scaled_to_gaussian_integers(residues.values)
+    anchor = next(i for i in range(3) if values[i] != (0, 0))
+    num_a, den_a = funcs[anchor]
     elim = []
     for j in range(3):
         if j == anchor:
             continue
-        diff = funcs[anchor] * values[j] - funcs[j] * values[anchor]
+        num_j, den_j = funcs[j]
+        diff = num_a * den_j * values[j] - num_j * den_a * values[anchor]
         if not diff:
             raise DegenerateInput(
                 "residue proportionality is identically satisfied; "
                 "the configuration is not rigid"
             )
-        elim.append(diff.num)
+        elim.append(diff)
     g = Poly.gcd(elim[0], elim[1])
-    for root in (Poly.variable(), Poly([-_ONE, _ONE])):  # p and p - 1
+    for root in (Poly.variable(), Poly([-1, 1])):  # p and p - 1
         while g.degree > 0:
-            q, r = divmod(g, root)
+            q, r = g.pseudo_divmod(root)
             if r:
                 break
             g = q
-    squarefree = g.squarefree_part()
-    if squarefree.degree < g.degree:
+    repeated = Poly.gcd(g, g.derivative()).degree
+    if repeated > 0:
         warnings.warn(
             "elimination polynomial has a repeated root; counting distinct roots",
             TransversalityWarning,
             stacklevel=2,
         )
-    return max(squarefree.degree, 0)
+    return g.degree - repeated
 
 
 def multipliers_to_residues(multipliers) -> ResidueTuple:

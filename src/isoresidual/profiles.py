@@ -12,11 +12,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from ._linalg import Kernel, kernel_contains, kernel_reduce, ones_kernel
 from .errors import RealizationExhausted
-from .exactarith import GaussianRational
+from .exactarith import GaussianRational, scaled_to_gaussian_integers
 
 MAX_POLES = 16
 
@@ -236,8 +235,7 @@ def _packed(values: tuple[GaussianRational, ...]) -> list[int]:
     """One int per residue whose subset sums vanish exactly where the
     residues' do: (re, im) scaled by the lcm of every denominator to ints
     (R, I) and packed as R*M + I, with M beyond twice any |sum of I|."""
-    scale = lcm(*(x.denominator for v in values for x in (v.re, v.im)))
-    parts = [(int(v.re * scale), int(v.im * scale)) for v in values]
+    parts = scaled_to_gaussian_integers(values)
     m = 2 * sum(abs(im) for _, im in parts) + 1
     return [re * m + im for re, im in parts]
 

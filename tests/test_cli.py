@@ -75,6 +75,11 @@ class TestCount:
         )
         assert report["oracle"]["match"] is True
 
+    def test_oracle_flag_on_zero_tuple(self, capsys):
+        report = run_json(capsys, "count", "--b", "2,2", "--rho", "0,0", "--oracle", "--json")
+        assert report["total"] == "0"
+        assert report["oracle"] == {"count": "0", "rho": ["0", "0"], "match": True}
+
     def test_json_round_trip_determinism(self, capsys):
         first = run_json(
             capsys, "count", "--mu", "2,1,1,2", "--vanishings", "3", "--oracle",
@@ -172,6 +177,15 @@ class TestBatch:
         assert set(reports[0]) == {"line", "error"} and reports[0]["line"] == 1
         assert reports[1]["line"] == 2 and reports[1]["total"] == "1"
 
+    def test_oracle_on_zero_tuple(self, tmp_path, capsys):
+        path = tmp_path / "zero.jsonl"
+        path.write_text(json.dumps({"b": [2, 2, 2], "vanishings": "1;2", "oracle": True}) + "\n")
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["total"] == "0"
+        assert report["oracle"]["count"] == "0" and report["oracle"]["match"] is True
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "/nonexistent/path.jsonl")
         assert code == 2
@@ -210,6 +224,11 @@ class TestOracleCommand:
         report = run_json(
             capsys, "oracle", "--b", "1,1,2", "--vanishings", "3", "--json"
         )
+        assert report["match"] is True
+
+    def test_zero_tuple(self, capsys):
+        report = run_json(capsys, "oracle", "--b", "2,2,2", "--vanishings", "1;2", "--json")
+        assert report["oracle_count"] == "0" and report["closed_form"] == "0"
         assert report["match"] is True
 
     def test_too_many_poles(self, capsys):

@@ -1,25 +1,35 @@
+import hashlib
+import random
+import warnings
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isoresidual import oracle
 from isoresidual.counting import count_closed_form
 from isoresidual.errors import (
-    DegenerateInput,
-    InexactDivision,
     IndexConstraintViolated,
     ParabolicMultiplier,
+    TransversalityWarning,
 )
 from isoresidual.exactarith import GaussianRational
 from isoresidual.oracle import (
     Poly,
-    RatFunc,
     count_polynomials_with_multipliers,
     multipliers_to_residues,
     oracle_count,
     residue_functions,
 )
-from isoresidual.profiles import OrderProfile, ResidueTuple, vanishing_subsets
+from isoresidual.profiles import (
+    OrderProfile,
+    ResidueTuple,
+    realize_residues,
+    structure_from_generators,
+    trivial_structure,
+    vanishing_subsets,
+)
 
 
 def gr(*args):
@@ -35,60 +45,74 @@ def residues(*values):
 
 
 def poly(*coeffs):
-    return Poly([gr(c) if not isinstance(c, GaussianRational) else c for c in coeffs])
+    return Poly(coeffs)
+
+
+P = poly(0, 1)
+UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
 class TestPoly:
     def test_divmod(self):
-        # (p - 1)(p + 2) = p^2 + p - 2
-        q, r = divmod(poly(-2, 1, 1), poly(-1, 1))
+        # A monic divisor makes the pseudo-division a plain divmod:
+        # (p - 1)(p + 2) = p^2 + p - 2.
+        q, r = poly(-2, 1, 1).pseudo_divmod(poly(-1, 1))
         assert q == poly(2, 1) and not r
+        q, r = poly(5, 1, 1).pseudo_divmod(poly(-1, 1))
+        assert q == poly(2, 1) and r == poly(7)
+
+    def test_pseudo_divmod(self):
+        # lead^k * a == q * b + r with k = deg a - deg b + 1
+        a = poly(3, (0, 2), -1, 4)
+        b = poly(1, (2, 1))
+        q, r = a.pseudo_divmod(b)
+        assert Poly([(2, 1)]) ** 3 * a == q * b + r
+        assert r.degree < b.degree
+        q, r = b.pseudo_divmod(a)
+        assert not q and r == b
 
     def test_gcd_monic(self):
+        # up to a unit of Z[i], the gcd of monic polynomials is monic
         a = poly(-2, 1) * poly(3, 1) * poly(3, 1)
         b = poly(3, 1) * poly(5, 1)
-        assert Poly.gcd(a, b) == poly(3, 1)
-
-    def test_squarefree_part(self):
-        squared = poly(-2, 1) * poly(-2, 1) * poly(1, 1)
-        assert squared.squarefree_part() == poly(-2, 1) * poly(1, 1)
-
-    def test_squarefree_part_rejects_a_remainder(self, monkeypatch):
-        # A typed error, not an assert: it must hold under python -O too.
-        monkeypatch.setattr(Poly, "gcd", staticmethod(lambda a, b: poly(5, 1)))
-        with pytest.raises(InexactDivision):
-            (poly(-2, 1) * poly(-2, 1)).squarefree_part()
+        assert Poly.gcd(a, b) in [poly(3, 1) * u for u in UNITS]
+        a = poly((0, -1), 1) * poly(1, 1)
+        b = poly((0, -1), 1) * poly(-2, 1) * poly(7, 1)
+        assert Poly.gcd(a, b) in [poly((0, -1), 1) * u for u in UNITS]
+        assert Poly.gcd(a * 6, b * 10) in [poly((0, -1), 1) * u for u in UNITS]
+        assert Poly.gcd(poly(2, 1), poly(3, 1)).degree == 0
 
     def test_gaussian_coefficients(self):
         # p^2 + 1 = (p - i)(p + i)
-        left = poly(gi(0, -1), gr(1))
-        right = poly(gi(0, 1), gr(1))
-        assert left * right == poly(1, 0, 1)
+        assert poly((0, -1), 1) * poly((0, 1), 1) == poly(1, 0, 1)
 
-    def test_eval(self):
-        assert poly(1, 2, 1)(gr(2)) == gr(9)
+    def test_derivative(self):
+        assert poly(7, (1, 2), 3, (0, -1)).derivative() == poly((1, 2), 6, (0, -3))
+
+
+def same_fraction(f, g):
+    return f[0] * g[1] == g[0] * f[1]
 
 
 class TestResidueFunctions:
     def test_three_simple_poles(self):
         # dz / (z (z-1) (z-p)): partial fractions give 1/p, 1/(1-p), 1/(p(p-1))
         r0, r1, rp = residue_functions(OrderProfile(1, (1, 1, 1)))
-        assert r0 == RatFunc.make(poly(1), poly(0, 1))
-        assert r1 == RatFunc.make(poly(-1), poly(-1, 1))
-        assert rp == RatFunc.make(poly(1), poly(0, -1, 1))
+        assert same_fraction(r0, (poly(1), P))
+        assert same_fraction(r1, (poly(-1), poly(-1, 1)))
+        assert same_fraction(rp, (poly(1), poly(0, -1, 1)))
 
     def test_double_pole_at_moving_point(self):
         # dz / (z (z-1) (z-p)^2)
         r0, r1, rp = residue_functions(OrderProfile(2, (1, 1, 2)))
-        assert r0 == RatFunc.make(poly(-1), poly(0, 0, 1))
-        assert r1 == RatFunc.make(poly(1), poly(1, -2, 1))
-        assert rp == RatFunc.make(poly(1, -2), poly(0, 0, 1, -2, 1))
+        assert same_fraction(r0, (poly(-1), poly(0, 0, 1)))
+        assert same_fraction(r1, (poly(1), poly(1, -2, 1)))
+        assert same_fraction(rp, (poly(1, -2), poly(0, 0, 1, -2, 1)))
 
     @pytest.mark.parametrize("b", [(1, 1, 1), (2, 1, 1), (1, 3, 2), (2, 2, 2), (4, 1, 3)])
     def test_residue_theorem(self, b):
-        r0, r1, rp = residue_functions(OrderProfile.from_pole_orders(b))
-        total = r0 + r1 + rp
-        assert not total
+        (n0, d0), (n1, d1), (n2, d2) = residue_functions(OrderProfile.from_pole_orders(b))
+        assert not n0 * d1 * d2 + n1 * d0 * d2 + n2 * d0 * d1
 
     def test_requires_three_poles(self):
         with pytest.raises(ValueError):
@@ -110,9 +134,11 @@ class TestOracleCount:
     def test_two_poles(self):
         assert oracle_count(OrderProfile(0, (1, 1)), residues(5, -5)) == 1
 
-    def test_zero_tuple_rejected(self):
-        with pytest.raises(DegenerateInput):
-            oracle_count(OrderProfile(2, (1, 1, 2)), residues(0, 0, 0))
+    def test_zero_tuple_counts_zero(self):
+        # as the closed form and the recursion count the identically-zero
+        # structure
+        assert oracle_count(OrderProfile(2, (1, 1, 2)), residues(0, 0, 0)) == 0
+        assert oracle_count(OrderProfile(2, (2, 2)), residues(0, 0)) == 0
 
     def test_gaussian_residues(self):
         profile = OrderProfile(2, (1, 1, 2))
@@ -124,6 +150,14 @@ class TestOracleCount:
         # elimination polynomial degenerates to a constant
         profile = OrderProfile(1, (1, 1, 1))
         assert oracle_count(profile, residues(0, 1, -1)) == 0
+
+    def test_repeated_root_warns_and_counts_once(self, monkeypatch):
+        # Both eliminants share (p - 2)^2, a double root away from 0 and 1.
+        double = poly(-2, 1) ** 2
+        funcs = ((Poly(), poly(1)), (double * poly(-3, 1), poly(1)), (double * P, poly(1)))
+        monkeypatch.setattr(oracle, "residue_functions", lambda profile: funcs)
+        with pytest.warns(TransversalityWarning):
+            assert oracle_count(OrderProfile(1, (1, 1, 1)), residues(1, 1, -2)) == 1
 
     @pytest.mark.parametrize(
         "b", [bb for bb in product(range(1, 5), repeat=3) if sum(bb) <= 9]
@@ -180,3 +214,93 @@ class TestMultiplierBridge:
         # residues (1, -1, 2, -2)
         lams = (gr(0), gr(2), gr(1, 2), gr(3, 2))
         assert count_polynomials_with_multipliers(lams) == 1
+
+
+def _gaussian(rng):
+    return gi(
+        Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000)),
+        Fraction(rng.randint(-1000, 1000), rng.randint(1, 1000)),
+    )
+
+
+def _corpus():
+    """Every b with sum(b) <= 10 on two and three poles, each with realized
+    residues (seeds 0-2) for the trivial and every one-vanishing structure,
+    three seeded Gaussian tuples with denominators up to 1000 and, on three
+    poles, one Gaussian tuple with its zero at each pole."""
+    for n in (2, 3):
+        structures = [trivial_structure(n)]
+        if n == 3:
+            structures += [structure_from_generators(3, [m]) for m in (0b001, 0b011, 0b101)]
+        for b in product(range(1, 10), repeat=n):
+            if sum(b) > 10:
+                continue
+            profile = OrderProfile.from_pole_orders(b)
+            for structure in structures:
+                for seed in range(3):
+                    yield profile, realize_residues(structure, seed)
+            rng = random.Random(sum(v << (4 * k) for k, v in enumerate(b)))
+            for _ in range(3):
+                head = [_gaussian(rng) for _ in range(n - 1)]
+                yield profile, ResidueTuple((*head, -sum(head, gr(0))))
+            if n == 3:
+                r = _gaussian(rng)
+                for zero_at in range(3):
+                    values = [r, -r]
+                    values.insert(zero_at, gr(0))
+                    yield profile, ResidueTuple(tuple(values))
+
+
+# SHA-256 over (b, rho, count or exception name, warning categories) on the
+# corpus above, recorded from the Q(i) implementation (Euclid over Gaussian
+# rationals with reduced rational functions) before the move to Z[i].
+CORPUS_DIGEST = "fe318becda5ac9001175b6fbe9e52d73a1faccadaa60ef385d81f5f1903aa2a8"
+
+
+def test_corpus_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for profile, rho in _corpus():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outcome = str(oracle_count(profile, rho))
+            except Exception as exc:
+                outcome = type(exc).__name__
+        categories = sorted({w.category.__name__ for w in caught})
+        line = f"{profile.b} {[str(v) for v in rho.values]} {outcome} {categories}\n"
+        digest.update(line.encode())
+        count += 1
+    assert count == 2430
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def _rationals():
+    return st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000))
+
+
+@st.composite
+def three_residues(draw):
+    z = gi(draw(_rationals()), draw(_rationals()))
+    w = gi(draw(_rationals()), draw(_rationals()))
+    kind = draw(st.sampled_from(["generic", "zero-sum pair", "conjugate pair"]))
+    if kind == "generic":
+        values = (z, w, -z - w)
+    elif kind == "zero-sum pair":
+        values = (z, -z, gr(0))
+    else:
+        values = (z, z.conjugate(), -z - z.conjugate())
+    return ResidueTuple(draw(st.sampled_from(list(permutations(values)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)).filter(
+        lambda b: sum(b) <= 10
+    ),
+    three_residues(),
+)
+def test_matches_closed_form_on_random_residues(b, rho):
+    profile = OrderProfile.from_pole_orders(b)
+    expected = count_closed_form(profile, vanishing_subsets(rho)).total
+    assert oracle_count(profile, rho) == expected
