@@ -18,7 +18,7 @@ from .errors import IsoresidualError
 from .exactarith import parse_gaussian_rational
 from .levelgraph import count_recursive
 from .oracle import multipliers_to_residues, oracle_count
-from .partitions import enumerate_partitions
+from .partitions import enumerate_partitions, zero_sum_plan
 from .profiles import (
     OrderProfile,
     ResidueTuple,
@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INVALID = 2
 EXIT_MISMATCH = 3
+
+
+# A report is a tree built here: its index lists are shared, but nothing
+# holds itself, so the encoder skips its cycle check.
+_report_json = json.JSONEncoder(check_circular=False).encode
 
 
 class _Invalid(Exception):
@@ -87,6 +92,8 @@ def _closure_lists(structure) -> list[list[int]]:
 def _build_report(profile, structure, residues, seed, *, recursive=False,
                   oracle=False, trace=False):
     """Shared report builder for count, batch and multipliers paths."""
+    if oracle and profile.n > 3:
+        raise _Invalid("--oracle needs at most three poles")
     breakdown = count_closed_form(profile, structure)
     report = {
         "input": {"mu": [profile.a, *profile.b]},
@@ -106,14 +113,17 @@ def _build_report(profile, structure, residues, seed, *, recursive=False,
     report["rank"] = structure.rank
     report["max_parts"] = breakdown.max_parts
     partitions = enumerate_partitions(structure)
+    # One index list per distinct part, shared by every partition holding it.
+    names = {
+        part: list(indices_from_mask(part)) for part in zero_sum_plan(structure).parts
+    }
     report["terms"] = [
         {
             "s": s,
             "count": size,
             "value": str(value),
             "partitions": [
-                [list(indices_from_mask(part)) for part in partition]
-                for partition in partitions[s]
+                list(map(names.__getitem__, partition)) for partition in partitions[s]
             ],
         }
         for s, value, size in breakdown.per_s
@@ -140,8 +150,6 @@ def _build_report(profile, structure, residues, seed, *, recursive=False,
         report["recursive"] = entry
         mismatch = mismatch or not entry["match"]
     if oracle:
-        if profile.n > 3:
-            raise _Invalid("--oracle needs at most three poles")
         rho = residues if residues is not None else realize_residues(structure, seed)
         oracle_total = oracle_count(profile, rho)
         entry = {
@@ -157,7 +165,7 @@ def _build_report(profile, structure, residues, seed, *, recursive=False,
 def _emit(report: dict, as_json: bool, out=None):
     out = out or sys.stdout
     if as_json:
-        print(json.dumps(report), file=out)
+        print(_report_json(report), file=out)
         return
     print(f"profile: a = {report['a']}, b = ({', '.join(report['b'])})", file=out)
     if "lambdas" in report["input"]:
@@ -212,6 +220,8 @@ def _structure_for_request(profile, rho_text, vanishings_text):
 
 
 def _cmd_count(args) -> int:
+    if args.trace and not args.recursive:
+        raise _Invalid("--trace needs --recursive")
     profile = _profile_from_args(args.mu, args.b)
     structure, residues = _structure_for_request(profile, args.rho, args.vanishings)
     report, mismatch = _build_report(
@@ -264,7 +274,7 @@ def _cmd_batch(args) -> int:
                 )
                 report["line"] = line_no
                 any_mismatch = any_mismatch or mismatch
-                print(json.dumps(report))
+                print(_report_json(report))
             except (
                 _Invalid, IsoresidualError, ValueError, KeyError,
                 IndexError, TypeError, ZeroDivisionError, json.JSONDecodeError,
@@ -408,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--oracle", action="store_true",
                        help="cross-check with symbolic elimination (n <= 3)")
     count.add_argument("--trace", action="store_true",
-                       help="include the per-level recursion term table")
+                       help="include the per-level recursion term table (needs --recursive)")
     count.set_defaults(func=_cmd_count)
 
     verify = sub.add_parser("verify", help="run a verification sweep")

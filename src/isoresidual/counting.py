@@ -7,8 +7,14 @@ alternating sum over partitions of the pole set into s zero-sum parts
 
 where b_J is the total pole order of a part.  The s = 1 term carries the
 rational factor 1/(a+1) but always collapses to the integer falling_f(a, n);
-the whole sum is evaluated in exact rational arithmetic and asserted to be a
-nonnegative integer.
+the whole sum is evaluated in exact rational arithmetic, and a total that is
+not a nonnegative integer raises NonIntegralResult or NegativeResult.
+
+The inner sums are not taken partition by partition.  Each partition is
+built by removing the zero-sum part that holds the lowest remaining pole, so
+the sums by part count s obey a recursion over the remaining pole set; the
+structure's ``partitions.zero_sum_plan`` holds the reachable sets and their
+moves, and a profile only supplies the weight of each part.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from itertools import product
 from ._linalg import solve_linear
 from .errors import InterpolationMismatch, NegativeResult, NonIntegralResult
 from .exactarith import falling_f
-from .partitions import _partitions_by_size
+from .partitions import sums_by_part_count, zero_sum_plan
 from .profiles import (
     Mask,
     OrderProfile,
@@ -65,19 +71,19 @@ def _check_match(profile: OrderProfile, structure: VanishingStructure):
 def _formula_terms(profile: OrderProfile, structure: VanishingStructure):
     """Per-s terms of the alternating sum, as exact Fractions."""
     a = profile.a
+    plan = zero_sum_plan(structure)
+    weight = {
+        part: falling_f(profile.order_sum(part) - 1, part.bit_count() + 1)
+        for part in plan.parts
+    }
+    inner = sums_by_part_count(plan.moves, weight)
     terms = []
-    for s, parts_list in _partitions_by_size(structure):
-        inner = 0
-        for partition in parts_list:
-            term = 1
-            for part in partition:
-                term *= falling_f(profile.order_sum(part) - 1, part.bit_count() + 1)
-            inner += term
+    for s, size in plan.counts:
         if s == 1:
-            coeff = Fraction(1, a + 1)
+            value = Fraction(inner[s], a + 1)
         else:
-            coeff = Fraction((-1) ** (s - 1) * (a + 1) ** (s - 2))
-        terms.append((s, coeff * inner, len(parts_list)))
+            value = Fraction((-1) ** (s - 1) * (a + 1) ** (s - 2) * inner[s])
+        terms.append((s, value, size))
     return terms
 
 

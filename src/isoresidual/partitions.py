@@ -4,15 +4,29 @@ A part qualifies when it lies in the ambient vanishing structure's closure
 (in either representative) or is the whole pole set; membership is decided
 by the structure alone, so abstract structures with no realized residues
 work the same way.
+
+Every zero-sum partition is reached by removing, over and over, the
+qualifying part that holds the lowest remaining pole.  ``zero_sum_plan``
+works out once per structure which remaining sets this reaches and the moves
+out of each, so a sum over all partitions is a dynamic programme over those
+sets (the set-partition recursion of Bjorklund, Husfeldt and Koivisto, *Set
+partitioning via inclusion-exclusion*, SIAM J. Comput. 2009), and only a
+listing visits each partition.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .profiles import Mask, VanishingStructure, full_mask
 
 ZeroSumPartition = tuple[Mask, ...]
+
+# Plans and listings kept, one per structure: well above the few dozen a
+# batch over a shared pool of structures meets, and a bound on a long batch
+# over distinct dense ones, whose listing has a Bell number of entries.
+_CACHED_STRUCTURES = 128
 
 
 def iter_set_partitions(mask: Mask):
@@ -39,35 +53,78 @@ def _qualifying_masks(structure: VanishingStructure) -> frozenset:
     return closure | {full} | {mask ^ full for mask in closure}
 
 
-def _expand(remaining: Mask, qualifying) -> list[ZeroSumPartition]:
-    # The part containing the smallest uncovered pole is chosen among the
-    # qualifying submasks, so each partition is produced exactly once.
-    if remaining == 0:
-        return [()]
-    out = []
-    pivot = remaining & -remaining
-    rest = remaining ^ pivot
-    sub = rest
-    while True:
-        part = pivot | sub
-        if part in qualifying:
-            for tail in _expand(remaining ^ part, qualifying):
-                out.append((part,) + tail)
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
-    return out
+@dataclass(frozen=True, slots=True)
+class ZeroSumPlan:
+    """The nonempty pole sets left over on the way to a zero-sum partition,
+    children first (a child is a proper subset, so a smaller mask).  Each
+    maps to its moves, ``(part, remaining ^ part)`` for every qualifying part
+    of it that holds its lowest pole, in increasing order of the part."""
+
+    moves: dict[Mask, tuple[tuple[Mask, Mask], ...]]
+    parts: tuple[Mask, ...]  # every part some move removes
+    counts: tuple[tuple[int, int], ...]  # (s, partitions into s parts), s ascending
 
 
-@lru_cache(maxsize=None)
-def _partitions_by_size(structure: VanishingStructure):
+def sums_by_part_count(moves, weight) -> list[int]:
+    """Entry s: the sum, over the zero-sum partitions of the whole pole set
+    into s parts, of the product of ``weight[part]`` over their parts."""
+    sums = {0: [1]}
+    for remaining, out in moves.items():
+        acc = [0] * (remaining.bit_count() + 1)
+        for part, rest in out:
+            w = weight[part]
+            for s, value in enumerate(sums[rest], 1):
+                acc[s] += w * value
+        sums[remaining] = acc
+    return acc  # the whole pole set comes last
+
+
+@lru_cache(maxsize=_CACHED_STRUCTURES)
+def zero_sum_plan(structure: VanishingStructure) -> ZeroSumPlan:
+    """The structure's plan, found by the walk over submasks that hold the
+    lowest remaining pole."""
     qualifying = _qualifying_masks(structure)
+    found: dict[Mask, tuple[tuple[Mask, Mask], ...]] = {}
+    stack = [full_mask(structure.n)]
+    while stack:
+        remaining = stack.pop()
+        if not remaining or remaining in found:
+            continue
+        out = []
+        pivot = remaining & -remaining
+        rest = remaining ^ pivot
+        sub = rest
+        while True:
+            part = pivot | sub
+            if part in qualifying:
+                out.append((part, remaining ^ part))
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        found[remaining] = tuple(reversed(out))
+        stack.extend(child for _, child in out)
+    moves = {remaining: found[remaining] for remaining in sorted(found)}
+    parts = tuple(sorted({part for out in moves.values() for part, _ in out}))
+    by_s = sums_by_part_count(moves, dict.fromkeys(parts, 1))
+    return ZeroSumPlan(moves, parts, tuple((s, c) for s, c in enumerate(by_s) if c))
+
+
+@lru_cache(maxsize=_CACHED_STRUCTURES)
+def _partitions_by_size(structure: VanishingStructure):
+    moves = zero_sum_plan(structure).moves
+
+    # Moves in increasing order of the part list the partitions sorted.
+    def expand(remaining: Mask) -> list[ZeroSumPartition]:
+        if not remaining:
+            return [()]
+        return [
+            (part,) + tail for part, rest in moves[remaining] for tail in expand(rest)
+        ]
+
     by_size: dict[int, list[ZeroSumPartition]] = {}
-    for partition in _expand(full_mask(structure.n), qualifying):
+    for partition in expand(full_mask(structure.n)):
         by_size.setdefault(len(partition), []).append(partition)
-    return tuple(
-        (size, tuple(sorted(parts))) for size, parts in sorted(by_size.items())
-    )
+    return tuple((size, tuple(parts)) for size, parts in sorted(by_size.items()))
 
 
 def enumerate_partitions(structure: VanishingStructure) -> dict[int, list[ZeroSumPartition]]:

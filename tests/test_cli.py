@@ -69,6 +69,13 @@ class TestCount:
         )
         assert report["recursive"]["trace"]
 
+    def test_trace_without_recursive_is_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--mu", "4,2,2,1,1", "--vanishings", "1,2", "--trace"
+        )
+        assert code == 2 and out == ""
+        assert "--trace needs --recursive" in err
+
     def test_oracle_flag(self, capsys):
         report = run_json(
             capsys, "count", "--mu", "2,1,1,2", "--rho", "2,-1,-1", "--oracle", "--json"
@@ -185,6 +192,19 @@ class TestBatch:
         report = json.loads(out)
         assert report["total"] == "0"
         assert report["oracle"]["count"] == "0" and report["oracle"]["match"] is True
+
+    def test_oracle_past_three_poles_fails_before_counting(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the closed form ran")
+
+        monkeypatch.setattr("isoresidual.cli.count_closed_form", refuse)
+        monkeypatch.setattr("isoresidual.cli.enumerate_partitions", refuse)
+        path = tmp_path / "oracle.jsonl"
+        line = {"b": [2] * 8 + [1, 1], "vanishings": "1;2;3;4;5;6;7;8", "oracle": True}
+        path.write_text(json.dumps(line) + "\n")
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == 1
+        assert json.loads(out) == {"line": 1, "error": "--oracle needs at most three poles"}
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "/nonexistent/path.jsonl")

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,13 @@ from isoresidual.counting import (
     zero_identity_value,
 )
 from isoresidual.errors import NonIntegralResult
+from isoresidual.exactarith import falling_f
 from isoresidual.levelgraph import count_recursive
+from isoresidual.partitions import iter_set_partitions
 from isoresidual.profiles import (
     OrderProfile,
+    all_vanishing_structures,
+    canonical_mask,
     full_mask,
     identically_zero_structure,
     structure_from_generators,
@@ -128,6 +134,11 @@ class TestZeroIdentity:
     def test_mixed_orders(self):
         assert zero_identity_value(MU_4) == 0
 
+    @pytest.mark.parametrize("b", [(2, 1, 3, 1, 1, 2, 4, 1, 2, 1, 3), (1,) * 6 + (2,) * 6])
+    def test_eleven_and_twelve_poles(self, b):
+        # Bell(12) = 4213597 partitions: out of reach one by one.
+        assert zero_identity_value(OrderProfile.from_pole_orders(b)) == 0
+
 
 class TestDegenerateSimplePoles:
     def test_reports_forced_zero_at_simple_pole(self):
@@ -190,6 +201,70 @@ class TestPolynomialDegree:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             check_polynomial_degree(trivial_structure(5), 3)
+
+
+def qualifying_partitions(structure):
+    """Every set partition whose parts all lie in the closure or are the
+    whole pole set."""
+    n = structure.n
+    full = full_mask(n)
+    return [
+        partition
+        for partition in iter_set_partitions(full)
+        if all(
+            part == full or canonical_mask(part, n) in structure.closure
+            for part in partition
+        )
+    ]
+
+
+def brute_force_terms(profile, partitions):
+    """Per-s terms of the closed form, summed partition by partition."""
+    inner, sizes = {}, {}
+    for partition in partitions:
+        term = 1
+        for part in partition:
+            term *= falling_f(profile.order_sum(part) - 1, part.bit_count() + 1)
+        s = len(partition)
+        inner[s] = inner.get(s, 0) + term
+        sizes[s] = sizes.get(s, 0) + 1
+    a = profile.a
+    return [
+        (
+            s,
+            (Fraction(1, a + 1) if s == 1 else (-1) ** (s - 1) * (a + 1) ** (s - 2))
+            * inner[s],
+            sizes[s],
+        )
+        for s in sorted(inner)
+    ]
+
+
+class TestSubsetRecursion:
+    """The per-s sums of the closed form against a partition-by-partition
+    brute force."""
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_every_structure_small(self, n):
+        for structure in all_vanishing_structures(n):
+            partitions = qualifying_partitions(structure)
+            for b in product(range(1, 4), repeat=n):
+                profile = OrderProfile.from_pole_orders(b)
+                terms = count_closed_form(profile, structure).per_s
+                assert list(terms) == brute_force_terms(profile, partitions)
+                assert all(type(value) is Fraction for _, value, _ in terms)
+
+    @pytest.mark.parametrize("n", range(6, 10))
+    def test_seeded_dense_structures(self, n):
+        rng = random.Random(f"dense {n}")
+        for rank in (n - 3, n - 2):
+            gens = []
+            while structure_from_generators(n, gens).rank < rank:
+                gens.append(sum(1 << i for i in rng.sample(range(n), rng.choice((1, 2, 3)))))
+            structure = structure_from_generators(n, gens)
+            profile = OrderProfile.from_pole_orders([rng.randint(1, 4) for _ in range(n)])
+            terms = count_closed_form(profile, structure).per_s
+            assert list(terms) == brute_force_terms(profile, qualifying_partitions(structure))
 
 
 def permute_mask(mask, perm):

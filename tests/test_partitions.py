@@ -2,7 +2,12 @@ from functools import lru_cache
 
 import pytest
 
-from isoresidual.partitions import enumerate_partitions, iter_set_partitions
+from isoresidual.partitions import (
+    _partitions_by_size,
+    enumerate_partitions,
+    iter_set_partitions,
+    zero_sum_plan,
+)
 from isoresidual.profiles import (
     all_vanishing_structures,
     canonical_mask,
@@ -119,6 +124,12 @@ class TestEnumeratePartitions:
                             assert not rho.subset_sum(part)
 
     def test_partitions_sorted(self):
-        structure = identically_zero_structure(4)
-        for parts in enumerate_partitions(structure).values():
-            assert parts == sorted(parts)
+        for n in range(2, 6):
+            for structure in all_vanishing_structures(n):
+                for parts in enumerate_partitions(structure).values():
+                    assert parts == sorted(parts)
+
+    def test_caches_are_bounded(self):
+        for cached in (zero_sum_plan, _partitions_by_size):
+            assert cached.cache_info().maxsize is not None
+            assert cached.cache_info().maxsize >= 64

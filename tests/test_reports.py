@@ -1,8 +1,10 @@
 """Report bytes on a fixed corpus, pinned by SHA-256.
 
-The corpus is the README's `count` examples, one `multipliers` call, two
-`batch` files (the second is one `rho` line at the 16-pole maximum) and one
-traced recursion.  A change that is meant to keep reports byte-identical
+The corpus is the README's `count` examples, one `multipliers` call, three
+`batch` files (the second is one `rho` line at the 16-pole maximum, the
+third dense `vanishings` lines of rank n-3 and n-2), one traced recursion
+and one dense `count --json` whose partition listing runs to Bell-number
+length.  A change that is meant to keep reports byte-identical
 must pass unchanged; a change that alters a report updates its digest and
 says which fields changed and why.
 """
@@ -49,6 +51,17 @@ WIDE_LINES = [
     },
 ]
 
+# Dense structures at n = 6, 7, 8, of rank n-3 and n-2 each; poles forced
+# to zero residue have order >= 2, so no total is a plain 0.
+DENSE_LINES = [
+    {"b": [1, 2, 3, 1, 2, 1], "vanishings": "1,2;3,4;1,5"},
+    {"b": [2, 1, 3, 1, 2, 2], "vanishings": "1;2,3;4,5;2,4"},
+    {"b": [2, 1, 3, 2, 1, 1, 2], "vanishings": "1,2;3,4;5,6;1,3"},
+    {"b": [3, 2, 2, 1, 2, 1, 1], "vanishings": "1;2;3;4,5;4,6"},
+    {"b": [2, 3, 1, 2, 1, 2, 1, 1], "vanishings": "1;2;3,4;5,6;7,8;3,5"},
+    {"b": [2, 1, 2, 2, 3, 2, 2, 2], "vanishings": "1;3;4;2,5;6,7;6,8"},
+]
+
 CORPUS = [
     pytest.param(
         ("count", "--mu", "2,1,1,2", "--rho", "2,-1,-1"),
@@ -90,6 +103,16 @@ CORPUS = [
          "--recursive", "--trace", "--json"),
         "92938fd006bb3a9bebd54cf28c5b620ca3e432795967d65642141cca5a48ac1e",
         id="count-recursive-trace",
+    ),
+    pytest.param(
+        ("batch", DENSE_LINES),
+        "e2cd222cad199b1f8b485451abdb949bfe7e158890c08fcbbb24573d03cc5785",
+        id="batch-dense",
+    ),
+    pytest.param(
+        ("count", "--b", "2,3,2,2,2,1,1", "--vanishings", "1;2;3;4;5", "--json"),
+        "acdc69bd5e530107d6829bb75200607d8641c37257eb52fb8f8b09e06308f6ed",
+        id="count-all-but-two-zero-json",
     ),
 ]
 
