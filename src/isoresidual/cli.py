@@ -112,21 +112,8 @@ def _build_report(profile, structure, residues, seed, *, recursive=False,
     report["closure"] = _closure_lists(structure)
     report["rank"] = structure.rank
     report["max_parts"] = breakdown.max_parts
-    partitions = enumerate_partitions(structure)
-    # One index list per distinct part, shared by every partition holding it.
-    names = {
-        part: list(indices_from_mask(part)) for part in zero_sum_plan(structure).parts
-    }
     report["terms"] = [
-        {
-            "s": s,
-            "count": size,
-            "value": str(value),
-            "partitions": [
-                list(map(names.__getitem__, partition)) for partition in partitions[s]
-            ],
-        }
-        for s, value, size in breakdown.per_s
+        {"s": s, "count": size, "value": str(value)} for s, value, size in breakdown.per_s
     ]
     report["total"] = str(breakdown.total)
     warnings_list = [
@@ -162,36 +149,46 @@ def _build_report(profile, structure, residues, seed, *, recursive=False,
     return report, mismatch
 
 
-def _emit(report: dict, as_json: bool, out=None):
-    out = out or sys.stdout
+def _list_partitions(report: dict, structure) -> dict:
+    """Add each term's zero-sum partitions, which only JSON output prints."""
+    partitions = enumerate_partitions(structure)
+    # One index list per distinct part, shared by every partition holding it.
+    names = {
+        part: list(indices_from_mask(part)) for part in zero_sum_plan(structure).parts
+    }
+    for term in report["terms"]:
+        term["partitions"] = [
+            list(map(names.__getitem__, partition)) for partition in partitions[term["s"]]
+        ]
+    return report
+
+
+def _emit(report: dict, structure, as_json: bool):
     if as_json:
-        print(_report_json(report), file=out)
+        print(_report_json(_list_partitions(report, structure)))
         return
-    print(f"profile: a = {report['a']}, b = ({', '.join(report['b'])})", file=out)
+    print(f"profile: a = {report['a']}, b = ({', '.join(report['b'])})")
     if "lambdas" in report["input"]:
-        print(f"multipliers: {', '.join(report['input']['lambdas'])}", file=out)
+        print(f"multipliers: {', '.join(report['input']['lambdas'])}")
     if "rho" in report["input"]:
-        print(f"residues: {', '.join(report['input']['rho'])}", file=out)
+        print(f"residues: {', '.join(report['input']['rho'])}")
     closure = " ".join(
         "{" + ",".join(str(i) for i in subset) + "}" for subset in report["closure"]
     )
-    print(f"vanishing structure: rank {report['rank']}, closure {closure or '(none)'}", file=out)
+    print(f"vanishing structure: rank {report['rank']}, closure {closure or '(none)'}")
     for term in report["terms"]:
-        print(
-            f"  s = {term['s']}: {term['count']} partition(s), term = {term['value']}",
-            file=out,
-        )
-    print(f"total N = {report['total']}", file=out)
+        print(f"  s = {term['s']}: {term['count']} partition(s), term = {term['value']}")
+    print(f"total N = {report['total']}")
     for message in report.get("warnings", ()):
-        print(f"warning: {message}", file=out)
+        print(f"warning: {message}")
     if "recursive" in report:
         entry = report["recursive"]
         status = "matches" if entry["match"] else "MISMATCH"
-        print(f"recursion cross-check: {entry['total']} ({status})", file=out)
+        print(f"recursion cross-check: {entry['total']} ({status})")
     if "oracle" in report:
         entry = report["oracle"]
         status = "matches" if entry["match"] else "MISMATCH"
-        print(f"elimination oracle: {entry['count']} ({status})", file=out)
+        print(f"elimination oracle: {entry['count']} ({status})")
 
 
 def _structure_for_request(profile, rho_text, vanishings_text):
@@ -228,7 +225,7 @@ def _cmd_count(args) -> int:
         profile, structure, residues, args.seed,
         recursive=args.recursive, oracle=args.oracle, trace=args.trace,
     )
-    _emit(report, args.json)
+    _emit(report, structure, args.json)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
@@ -272,6 +269,7 @@ def _cmd_batch(args) -> int:
                 report, mismatch = _build_report(
                     profile, structure, residues, seed, **switches
                 )
+                _list_partitions(report, structure)
                 report["line"] = line_no
                 any_mismatch = any_mismatch or mismatch
                 print(_report_json(report))
@@ -301,7 +299,7 @@ def _cmd_multipliers(args) -> int:
         recursive=args.recursive, oracle=args.oracle,
     )
     report["input"]["lambdas"] = [str(v) for v in lams]
-    _emit(report, args.json)
+    _emit(report, structure, args.json)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 

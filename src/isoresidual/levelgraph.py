@@ -8,8 +8,10 @@ generator at a time, the count drops by a boundary correction at each step:
 
     N(V_k) = N(V_{k-1}) - sum_{graphs} twist * N_bottom * prod N_top
 
-and the recursion's final value must agree with the closed form, which is
-the point of this module.
+The graphs are the rigid strata of the step, read off the zero-sum
+partitions of V_k, and the counts on the right are recursive counts down to
+falling_f(a, n).  The final value must agree with the closed form, with
+which the recursion shares only the zero-sum partitions.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._linalg import integer_row_basis, kernel_contains, kernel_reduce, mask_dot
-from .counting import _count_total
-from .errors import NonIntegralResult
+from .counting import count_general
 from .exactarith import GaussianRational
-from .partitions import iter_set_partitions
+from .partitions import enumerate_partitions
 from .profiles import (
     Mask,
     OrderProfile,
@@ -87,8 +88,13 @@ def twist(graph: TwoLevelGraph, profile: OrderProfile) -> int:
 
 @lru_cache(maxsize=None)
 def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[TwoLevelGraph, ...]:
-    """Two-level graphs whose component sums, together with the previous
-    structure and the total sum, generate the newly imposed condition.
+    """The rigid strata of imposing the new condition on the previous
+    structure, in the listing order of ``enumerate_partitions``.
+
+    They are the zero-sum partitions of the enlarged structure into at
+    least two parts that are not zero-sum partitions of the previous one:
+    setting every block sum to zero then adds exactly one condition, the
+    new one, so the node residues are pinned up to scale.
 
     The new subset must be independent of the previous structure.
     """
@@ -96,17 +102,14 @@ def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[Two
     new_subset = canonical_mask(new_subset, n)
     if new_subset in previous.closure:
         raise ValueError("the new condition must not already hold")
-    base = structure_kernel(previous)
-    out = []
-    for blocks in iter_set_partitions(full_mask(n)):
-        if len(blocks) < 2:
-            continue
-        kernel = base
-        for block in blocks:
-            kernel = kernel_reduce(kernel, block)
-        if kernel_contains(kernel, new_subset):
-            out.append(TwoLevelGraph(n, blocks))
-    return tuple(out)
+    current = structure_from_generators(n, previous.generators + (new_subset,))
+    return tuple(
+        TwoLevelGraph(n, partition)
+        for s, partitions in enumerate_partitions(current).items()
+        if s >= 2
+        for partition in partitions
+        if any(canonical_mask(part, n) not in previous.closure for part in partition)
+    )
 
 
 def _lift(local: Mask, pieces: tuple[Mask, ...]) -> Mask:
@@ -193,15 +196,22 @@ def induced_structures(graph: TwoLevelGraph, previous: VanishingStructure) -> In
 
 
 @lru_cache(maxsize=None)
-def _level(
-    previous: VanishingStructure, new_subset: Mask
-) -> tuple[tuple[TwoLevelGraph, InducedStructures], ...]:
-    """The strata one recursion step sums over, each boundary graph with the
-    structures it induces; built once and shared by every order profile."""
-    return tuple(
+def _level(previous: VanishingStructure, new_subset: Mask):
+    """One recursion step: the structure it reaches, and the strata it sums
+    over, each boundary graph with the structures it induces; built once and
+    shared by every order profile."""
+    current = structure_from_generators(previous.n, previous.generators + (new_subset,))
+    return current, tuple(
         (graph, induced_structures(graph, previous))
         for graph in boundary_graphs(previous, new_subset)
     )
+
+
+@lru_cache(maxsize=1 << 17)
+def _recursive_total(orders: tuple[int, ...], structure: VanishingStructure) -> int:
+    """Memoized recursive count, for the sub-counts of the recursion; keyed
+    by the pole orders, so a memo hit builds no profile."""
+    return count_recursive(OrderProfile.from_pole_orders(orders), structure)
 
 
 def count_recursive(
@@ -214,16 +224,16 @@ def count_recursive(
     """Recount by peeling off the structure's generators one at a time and
     subtracting the boundary corrections; must equal the closed form.
 
-    A graph contributes only when its bottom component is rigid: the node
-    residue space is a line (bottom_dim == 1), which pins the node residues
-    up to scale.  Each single-pole component contributes the factor
-    (order - 1) * 1/(order - 1); the cancelled factor 1 is used directly so
-    that order-1 poles never reach the zero denominator, and with it every
-    term is a plain integer.
+    It never consults the closed form: it starts from the general-residue
+    law falling_f(a, n) of Gendron-Tahar, and every bottom and top sub-count
+    is a recursive count on fewer poles or of smaller rank.  Each single-pole
+    component contributes (order - 1) * 1/(order - 1); the cancelled factor 1
+    is used directly so that order-1 poles never reach the zero denominator,
+    and with it every term is a plain integer.
 
     generator_order overrides the canonical generating sequence (it must
     generate the same structure); trace, if given, collects a per-level
-    term table of JSON-ready dicts.
+    term table of JSON-ready dicts, one per rigid stratum.
     """
     if profile.n != structure.n:
         raise ValueError("profile and structure disagree on the pole count")
@@ -238,28 +248,15 @@ def count_recursive(
         if structure_from_generators(n, generators).closure != structure.closure:
             raise ValueError("generator_order does not generate the structure")
 
-    total = _count_total(profile, trivial_structure(n))
+    total = count_general(profile)
     previous = trivial_structure(n)
     for level, new_subset in enumerate(generators, start=1):
         terms = []
         correction = 0
-        for graph, induced in _level(previous, new_subset):
-            if trace is not None:
-                entry = {
-                    "blocks": [list(indices_from_mask(b)) for b in graph.blocks],
-                    "twist": str(twist(graph, profile)),
-                    "bottom_dim": induced.bottom_dim,
-                }
-                terms.append(entry)
-            if induced.bottom_dim != 1:
-                # dim 0: the node residues are forced to zero (no such
-                # differential); dim >= 2: the bottom is not rigid.  Either
-                # way the stratum contributes nothing.
-                if trace is not None:
-                    entry["skipped"] = "bottom-not-rigid"
-                continue
+        current, strata = _level(previous, new_subset)
+        for graph, induced in strata:
             sums = tuple(profile.order_sum(b) for b in graph.blocks)
-            bottom_count = term = _count_total(OrderProfile.from_pole_orders(sums), induced.bottom)
+            bottom_count = term = _recursive_total(sums, induced.bottom)
             top_factors = []
             for block, block_total, top in zip(graph.blocks, sums, induced.tops):
                 if term == 0:
@@ -268,15 +265,20 @@ def count_recursive(
                     # Semistable bubble: (order-1) * falling_f(order-2, 1) == 1.
                     continue
                 orders = tuple(profile.b[i - 1] for i in indices_from_mask(block))
-                top_count = _count_total(OrderProfile.from_pole_orders(orders), top)
+                top_count = _recursive_total(orders, top)
                 term *= (block_total - 1) * top_count
                 top_factors.append((block_total - 1, top_count))
             correction += term
             if trace is not None:
-                entry["factors"] = [str(bottom_count)] + [f"{t}*{c}" for t, c in top_factors]
-                entry["term"] = str(term)
+                terms.append({
+                    "blocks": [list(indices_from_mask(b)) for b in graph.blocks],
+                    "twist": str(twist(graph, profile)),
+                    "bottom_dim": induced.bottom_dim,
+                    "factors": [str(bottom_count)] + [f"{t}*{c}" for t, c in top_factors],
+                    "term": str(term),
+                })
         total -= correction
-        previous = structure_from_generators(n, previous.generators + (new_subset,))
+        previous = current
         if trace is not None:
             trace.append({
                 "level": level,
@@ -284,6 +286,4 @@ def count_recursive(
                 "terms": terms,
                 "running_total": str(total),
             })
-    if not isinstance(total, int):
-        raise NonIntegralResult(f"recursive count {total} is not an integer")
     return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import Kernel, kernel_contains, kernel_reduce, ones_kernel
+from ._linalg import Kernel, kernel_contains, kernel_reduce, mask_dot, ones_kernel
 from .errors import RealizationExhausted
 from .exactarith import GaussianRational, scaled_to_gaussian_integers
 
@@ -89,13 +89,7 @@ class OrderProfile:
 
     def order_sum(self, mask: Mask) -> int:
         """Total pole order over a subset mask."""
-        total = 0
-        b = self.b
-        while mask:
-            low = mask & -mask
-            total += b[low.bit_length() - 1]
-            mask ^= low
-        return total
+        return mask_dot(self.b, mask)
 
 
 @dataclass(frozen=True, slots=True)

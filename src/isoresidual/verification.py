@@ -185,7 +185,8 @@ def check_recursion_equivalence(
     n_max: int = 6, b_max: int = 4, order_check_rank_max: int = 3
 ) -> SuiteResult:
     """The boundary recursion reproduces the closed form on every span-closed
-    structure, and is independent of the order the generators are peeled."""
+    structure, and is independent of the order the generators are peeled.
+    The two share only the zero-sum partitions of each structure."""
     result = SuiteResult(f"recursion equivalence (n<={n_max}, b<={b_max})")
     start = time.time()
     for n in range(2, n_max + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,23 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--mu", "4,2,2,1,1", "--vanishings", "1,2")
         assert code == 0
         assert "total N = 9" in out
+
+    def test_table_output_lists_no_partitions(self, capsys, monkeypatch):
+        # all-but-two-zero at n = 12: 678,570 partitions that a text report
+        # only counts; the digest is of the bytes printed when they were listed
+        def refuse(*args):
+            raise AssertionError("the text report listed partitions")
+
+        monkeypatch.setattr("isoresidual.cli.enumerate_partitions", refuse)
+        monkeypatch.setattr("isoresidual.partitions._partitions_by_size", refuse)
+        code, out, _ = run(
+            capsys, "count", "--b", "2,2,2,2,2,2,2,2,2,2,1,1",
+            "--vanishings", "1;2;3;4;5;6;7;8;9;10",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "783dfa874bf021545c59e189474e9cc28ce3c37617db341daf7f9484b7c77605"
+        )
 
     def test_rho_and_vanishings_agree(self, capsys):
         by_rho = run_json(capsys, "count", "--mu", "2,1,1,2", "--rho", "1,-1,0", "--json")

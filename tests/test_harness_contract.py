@@ -1,0 +1,49 @@
+"""The names the benchmark's tracer patches must keep resolving.
+
+``perfbench/tracing.py`` wraps package functions by module and attribute
+name from outside the program, and reads ``cache_info()`` from the cached
+ones.  A rename or a dropped cache would make ``--trace 1`` fail at start-up
+rather than here, so this test loads the tracer by path and checks every
+name it lists.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING_MODULE = load_tracing()
+
+
+def resolve(short, attr):
+    return getattr(importlib.import_module(f"isoresidual.{short}"), attr)
+
+
+@pytest.mark.parametrize(
+    "short, attr, metric",
+    TRACING_MODULE.SPANNED + TRACING_MODULE.COUNTED + TRACING_MODULE.CACHED,
+)
+def test_traced_name_resolves(short, attr, metric):
+    assert callable(resolve(short, attr)), metric
+
+
+@pytest.mark.parametrize("short, attr, metric", TRACING_MODULE.CACHED)
+def test_cached_name_has_cache_info(short, attr, metric):
+    info = resolve(short, attr).cache_info()
+    assert info.hits >= 0 and info.misses >= 0, metric
+
+
+def test_poly_gcd_is_a_staticmethod():
+    poly = importlib.import_module("isoresidual.oracle").Poly
+    assert isinstance(poly.__dict__["gcd"], staticmethod)

@@ -1,9 +1,12 @@
 import json
+import time
 from itertools import permutations
 
 import pytest
 
-from isoresidual.counting import count_closed_form
+from isoresidual import counting, levelgraph
+from isoresidual._linalg import kernel_contains, kernel_reduce
+from isoresidual.counting import count_closed_form, count_one_vanishing
 from isoresidual.levelgraph import (
     TwoLevelGraph,
     boundary_graphs,
@@ -11,11 +14,16 @@ from isoresidual.levelgraph import (
     induced_structures,
     twist,
 )
+from isoresidual.partitions import iter_set_partitions
 from isoresidual.profiles import (
     OrderProfile,
+    all_vanishing_structures,
+    canonical_mask,
+    full_mask,
     identically_zero_structure,
     indices_from_mask,
     structure_from_generators,
+    structure_kernel,
     trivial_structure,
 )
 
@@ -52,30 +60,85 @@ class TestTwist:
         assert twist(TwoLevelGraph(3, (0b011, 0b100)), MU_3) == 1
 
 
+def rigid_strata_by_walk(previous, new_subset):
+    """Reference for boundary_graphs: every set partition into at least two
+    blocks whose block sums, with the previous structure, span the new
+    condition, kept when its bottom is rigid."""
+    n = previous.n
+    new_subset = canonical_mask(new_subset, n)
+    base = structure_kernel(previous)
+    out = []
+    for blocks in iter_set_partitions(full_mask(n)):
+        if len(blocks) < 2:
+            continue
+        kernel = base
+        for block in blocks:
+            kernel = kernel_reduce(kernel, block)
+        if not kernel_contains(kernel, new_subset):
+            continue
+        graph = TwoLevelGraph(n, blocks)
+        # Unwrapped, so the walk's many non-rigid graphs stay out of the cache.
+        if induced_structures.__wrapped__(graph, previous).bottom_dim == 1:
+            out.append(graph)
+    return out
+
+
+def assert_strata_match(steps):
+    for previous, new_subset in steps:
+        graphs = boundary_graphs(previous, new_subset)
+        assert len(set(graphs)) == len(graphs)
+        assert set(graphs) == set(rigid_strata_by_walk(previous, new_subset)), (
+            [indices_from_mask(g) for g in previous.generators],
+            indices_from_mask(new_subset),
+        )
+
+
 class TestBoundaryGraphs:
     def test_three_poles_single_condition(self):
+        # the singletons {1}|{2}|{3} span the condition too, but their node
+        # residues range over a plane: not rigid
         graphs = boundary_graphs(trivial_structure(3), 0b100)
-        assert blocks_of(graphs) == [((1,), (2,), (3,)), ((1, 2), (3,))]
+        assert blocks_of(graphs) == [((1, 2), (3,))]
 
     def test_four_poles_pair_condition(self):
         graphs = boundary_graphs(trivial_structure(4), 0b0011)
-        assert blocks_of(graphs) == [
-            ((1,), (2,), (3,), (4,)),
-            ((1,), (2,), (3, 4)),
-            ((1, 2), (3,), (4,)),
-            ((1, 2), (3, 4)),
-        ]
+        assert blocks_of(graphs) == [((1, 2), (3, 4))]
 
     def test_previous_structure_enters_the_span(self):
-        # {1}|{2,3}|{4} qualifies because the new condition on {1,3} is
-        # 2*{1} + {2,3} - {1,2} modulo the total sum
+        # {1}|{2,3}|{4} spans the new condition on {1,3}, which is
+        # 2*{1} + {2,3} - {1,2} modulo the total sum, but its node residues
+        # (x, y - x, -y) range over a plane; only the new zero-sum partition
+        # {1,3}|{2,4} is rigid
         previous = structure_from_generators(4, [0b0011])
         graphs = boundary_graphs(previous, 0b0101)
-        assert ((1,), (2, 3), (4,)) in blocks_of(graphs)
+        assert blocks_of(graphs) == [((1, 3), (2, 4))]
+        walked = rigid_strata_by_walk(previous, 0b0101)
+        assert blocks_of(walked) == [((1, 3), (2, 4))]
+        assert induced_structures(TwoLevelGraph(4, (0b0001, 0b0110, 0b1000)), previous).bottom_dim == 2
 
     def test_rejects_dependent_condition(self):
         with pytest.raises(ValueError):
             boundary_graphs(structure_from_generators(4, [0b0011]), 0b1100)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_canonical_step_matches_the_walk(self, n):
+        steps = {
+            (structure_from_generators(n, s.generators[:k]), s.generators[k])
+            for s in all_vanishing_structures(n)
+            for k in range(s.rank)
+        }
+        assert_strata_match(steps)
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_every_generator_order_matches_the_walk(self, n):
+        steps = set()
+        for structure in all_vanishing_structures(n):
+            if structure.rank > 3:
+                continue
+            for order in permutations(structure.generators):
+                for k in range(len(order)):
+                    steps.add((structure_from_generators(n, order[:k]), order[k]))
+        assert_strata_match(steps)
 
 
 class TestInducedStructures:
@@ -162,9 +225,43 @@ class TestCountRecursive:
         assert len(payload) == 2
         assert payload[-1]["running_total"] == str(total)
         terms = [t for level in payload for t in level["terms"]]
-        assert any("term" in t for t in terms)
-        assert any(t.get("skipped") for t in terms)
+        assert terms
+        # every listed stratum is rigid and carries its term
+        assert all(t["bottom_dim"] == 1 and "term" in t for t in terms)
+        assert not any("skipped" in t for t in terms)
 
     def test_pole_count_mismatch(self):
         with pytest.raises(ValueError):
             count_recursive(MU_3, trivial_structure(4))
+
+
+class TestRecursionStandsAlone:
+    def test_never_consults_the_closed_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recursion called the closed form")
+
+        # Cleared first, so a cached closed-form total cannot hide a call.
+        counting._count_total.cache_clear()
+        levelgraph._recursive_total.cache_clear()
+        monkeypatch.setattr(counting, "count_closed_form", refuse)
+        monkeypatch.setattr(counting, "_count_total", refuse)
+        assert count_recursive(MU_4, structure_from_generators(4, [0b0011])) == 9
+        assert count_recursive(MU_4, structure_from_generators(4, [0b0011, 0b0101])) == 5
+        assert count_recursive(MU_4, trivial_structure(4)) == 12
+
+    @pytest.mark.parametrize("n, subset", [(12, 0b111), (12, 0b101001), (16, 0b11), (16, 0b1010101)])
+    def test_one_vanishing_up_to_sixteen_poles(self, n, subset):
+        profile = OrderProfile.from_pole_orders(tuple(1 + i % 3 for i in range(n)))
+        start = time.perf_counter()
+        got = count_recursive(profile, structure_from_generators(n, [subset]))
+        assert time.perf_counter() - start < 1
+        assert got == count_one_vanishing(profile, subset)
+
+    @pytest.mark.parametrize("generators", [(0b11, 0b11100), (0b11, 0b101)])
+    def test_rank_two_at_sixteen_poles(self, generators):
+        profile = OrderProfile.from_pole_orders(tuple(1 + i % 3 for i in range(16)))
+        structure = structure_from_generators(16, generators)
+        start = time.perf_counter()
+        got = count_recursive(profile, structure)
+        assert time.perf_counter() - start < 1
+        assert got == count_closed_form(profile, structure).total

@@ -101,7 +101,7 @@ CORPUS = [
     pytest.param(
         ("count", "--b", "2,2,2,2,2", "--vanishings", "1;1,3;1,4",
          "--recursive", "--trace", "--json"),
-        "92938fd006bb3a9bebd54cf28c5b620ca3e432795967d65642141cca5a48ac1e",
+        "795da75d36b3a5b84275c373b8b3a99e3cd93d4bf7ebcc351856eab39bdf7fd9",
         id="count-recursive-trace",
     ),
     pytest.param(
