@@ -82,25 +82,6 @@ def kernel_contains(kernel: Kernel, mask: int) -> bool:
     return all(mask_dot(row, mask) == 0 for row in kernel)
 
 
-def integer_row_basis(rows) -> list[tuple[int, ...]]:
-    """Echelon basis (over Q, with integer rows) of the span of the rows."""
-    basis: list[tuple[int, ...]] = []
-    width = len(rows[0]) if rows else 0
-    work = [list(r) for r in rows if any(r)]
-    for col in range(width):
-        pivot = next((i for i, r in enumerate(work) if r[col]), None)
-        if pivot is None:
-            continue
-        row = work.pop(pivot)
-        basis.append(_normalize(row))
-        for other in work:
-            if other[col]:
-                f1, f2 = row[col], other[col]
-                for i in range(width):
-                    other[i] = other[i] * f1 - row[i] * f2
-    return basis
-
-
 def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve a square exact linear system by Gaussian elimination.
 

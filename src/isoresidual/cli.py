@@ -51,18 +51,28 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise _Invalid(f"bad {what}: {exc}") from None
 
 
+def _profile_from_mu(values: list[int], what: str) -> OrderProfile:
+    if len(values) < 3:
+        raise _Invalid(f"{what} needs the zero order and at least two pole orders")
+    return OrderProfile(values[0], tuple(values[1:]))
+
+
 def _profile_from_args(mu: str | None, b: str | None) -> OrderProfile:
     if (mu is None) == (b is None):
         raise _Invalid("exactly one of --mu or --b is required")
     try:
         if mu is not None:
-            values = _parse_int_list(mu, "--mu")
-            if len(values) < 3:
-                raise _Invalid("--mu needs the zero order and at least two pole orders")
-            return OrderProfile(values[0], tuple(values[1:]))
+            return _profile_from_mu(_parse_int_list(mu, "--mu"), "--mu")
         return OrderProfile.from_pole_orders(_parse_int_list(b, "--b"))
     except ValueError as exc:
         raise _Invalid(str(exc)) from None
+
+
+def _request_ints(request: dict, key: str) -> list[int]:
+    values = request[key]
+    if type(values) is list and all(type(x) is int for x in values):  # no bools
+        return values
+    raise _Invalid(f"{key} must be a list of integers")
 
 
 def _residues_from_text(parts: list[str]) -> ResidueTuple:
@@ -217,8 +227,9 @@ def _structure_for_request(profile, rho_text, vanishings_text):
 
 
 def _cmd_count(args) -> int:
-    if args.trace and not args.recursive:
-        raise _Invalid("--trace needs --recursive")
+    for needed in ("recursive", "json"):
+        if args.trace and not getattr(args, needed):
+            raise _Invalid(f"--trace needs --{needed}")
     profile = _profile_from_args(args.mu, args.b)
     structure, residues = _structure_for_request(profile, args.rho, args.vanishings)
     report, mismatch = _build_report(
@@ -247,10 +258,9 @@ def _cmd_batch(args) -> int:
                 if not isinstance(request, dict):
                     raise _Invalid("each line must be a JSON object")
                 if "mu" in request:
-                    values = request["mu"]
-                    profile = OrderProfile(values[0], tuple(values[1:]))
+                    profile = _profile_from_mu(_request_ints(request, "mu"), "mu")
                 elif "b" in request:
-                    profile = OrderProfile.from_pole_orders(tuple(request["b"]))
+                    profile = OrderProfile.from_pole_orders(_request_ints(request, "b"))
                 else:
                     raise _Invalid("request needs 'mu' or 'b'")
                 seed = request.get("seed", 0)
@@ -416,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--oracle", action="store_true",
                        help="cross-check with symbolic elimination (n <= 3)")
     count.add_argument("--trace", action="store_true",
-                       help="include the per-level recursion term table (needs --recursive)")
+                       help="per-level recursion term table (needs --recursive and --json)")
     count.set_defaults(func=_cmd_count)
 
     verify = sub.add_parser("verify", help="run a verification sweep")

@@ -17,26 +17,21 @@ which the recursion shares only the zero-sum partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from ._linalg import integer_row_basis, kernel_contains, kernel_reduce, mask_dot
+from ._linalg import kernel_contains, kernel_reduce, mask_dot
 from .counting import count_general
-from .exactarith import GaussianRational
 from .partitions import enumerate_partitions
 from .profiles import (
     Mask,
     OrderProfile,
-    ResidueTuple,
     VanishingStructure,
     canonical_mask,
     full_mask,
-    identically_zero_structure,
     indices_from_mask,
     structure_from_generators,
     structure_kernel,
     trivial_structure,
-    vanishing_subsets,
 )
 
 __all__ = [
@@ -68,10 +63,6 @@ class TwoLevelGraph:
             raise ValueError("need at least two top components")
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b & -b):
             raise ValueError("blocks must be ordered by smallest pole")
-
-    @property
-    def m(self) -> int:
-        return len(self.blocks)
 
 
 def twist(graph: TwoLevelGraph, profile: OrderProfile) -> int:
@@ -112,25 +103,17 @@ def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[Two
     )
 
 
-def _lift(local: Mask, pieces: tuple[Mask, ...]) -> Mask:
-    """Global mask covered by the pieces a local mask selects (bit i picks
-    pieces[i])."""
-    out = 0
-    while local:
-        low = local & -local
-        out |= pieces[low.bit_length() - 1]
-        local ^= low
-    return out
-
-
 def _inherited(pieces: tuple[Mask, ...], kernel) -> VanishingStructure:
-    """Structure on len(pieces) local labels: the canonical local subsets
-    whose lifted global subset lies in the span the kernel encodes."""
+    """Structure on len(pieces) local labels (bit i picks pieces[i]): the
+    canonical local subsets whose union of pieces sums to zero on the whole
+    space the kernel rows span, which is what a generic point of the
+    pieces' sums satisfies.  The pieces are disjoint, so that union is the
+    local mask's dot product with the pieces."""
     size = len(pieces)
     qualifying = [
         local
         for local in range(1, full_mask(size), 2)  # canonical: contains local 1
-        if kernel_contains(kernel, _lift(local, pieces))
+        if kernel_contains(kernel, mask_dot(pieces, local))
     ]
     return structure_from_generators(size, qualifying)
 
@@ -141,10 +124,11 @@ class InducedStructures:
 
     tops holds one structure per component (None for single-pole bubbles,
     which carry no residue moduli); bottom is the vanishing structure of a
-    generic residue tuple at the nodes; bottom_dim is the linear dimension
-    of the node residue space.  A stratum is rigid, and contributes to the
-    recursion, exactly when bottom_dim == 1 (node residues determined up to
-    scale); bottom_dim == 0 means the nodes are forced to the zero tuple.
+    generic point of the node residues, the previous structure restricted
+    to the blocks; bottom_dim is the linear dimension of the node residue
+    space.  A stratum is rigid, and contributes to the recursion, exactly
+    when bottom_dim == 1 (node residues determined up to scale);
+    bottom_dim == 0 means the nodes are forced to the zero tuple.
     """
 
     tops: tuple
@@ -161,10 +145,11 @@ def induced_structures(graph: TwoLevelGraph, previous: VanishingStructure) -> In
     which the Residue Theorem forces on each component.
 
     The node residues at the bottom range over the image of the admissible
-    residue tuples under the per-component summation map.  The bottom
-    structure reported is the vanishing structure of a generic point of
-    that image; when the image is a line the generic point is the line's
-    direction itself, so accidental vanishings of the direction count.
+    residue tuples under the per-component summation map.  A union of
+    blocks vanishes at a generic point of the image exactly when it vanishes
+    on all of it, that is on every admissible tuple; and each block outside
+    the previous span cuts one row from the kernel, so the image's dimension
+    is the number of rows the blocks cut.
     """
     if graph.n != previous.n:
         raise ValueError("graph and structure disagree on the pole count")
@@ -179,20 +164,7 @@ def induced_structures(graph: TwoLevelGraph, previous: VanishingStructure) -> In
         else None
         for block in graph.blocks
     )
-
-    images = [tuple(mask_dot(row, block) for block in graph.blocks) for row in base]
-    image_basis = integer_row_basis(images)
-    bottom_dim = len(image_basis)
-    if bottom_dim == 0:
-        bottom = identically_zero_structure(graph.m)
-    elif bottom_dim == 1:
-        direction = ResidueTuple(
-            tuple(GaussianRational(Fraction(x)) for x in image_basis[0])
-        )
-        bottom = vanishing_subsets(direction)
-    else:
-        bottom = _inherited(graph.blocks, base)
-    return InducedStructures(tops, bottom, bottom_dim)
+    return InducedStructures(tops, _inherited(graph.blocks, base), len(base) - len(top_kernel))
 
 
 @lru_cache(maxsize=None)

@@ -59,6 +59,10 @@ __all__ = [
 ]
 
 _MAX_RECORDED_FAILURES = 10
+# Every generator order is peeled for structures up to this rank.
+_ORDER_CHECK_RANK_MAX = 3
+# Generic multiplier tuples per pole count in the bridge check.
+_GENERIC_SEEDS = 5
 
 
 @dataclass
@@ -103,7 +107,7 @@ def check_general_residue_law(n_max: int = 8, b_max: int = 5) -> SuiteResult:
     """With no vanishing partial sums the count is falling_f(a, n), for
     every labeled order tuple in range."""
     result = SuiteResult(f"general-residue law (n<={n_max}, b<={b_max})")
-    start = time.time()
+    start = time.perf_counter()
     from itertools import product
 
     for n in range(2, n_max + 1):
@@ -115,7 +119,7 @@ def check_general_residue_law(n_max: int = 8, b_max: int = 5) -> SuiteResult:
             result.checked += 1
             if got != want:
                 result.record(f"b={b}: closed form {got} != falling_f {want}")
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result
 
 
@@ -123,7 +127,7 @@ def check_one_vanishing_law(n_max: int = 7, b_max: int = 4) -> SuiteResult:
     """With exactly one vanishing partial sum the count drops by the product
     of the two group counts, for every canonical subset and order tuple."""
     result = SuiteResult(f"one-vanishing law (n<={n_max}, b<={b_max})")
-    start = time.time()
+    start = time.perf_counter()
     for n in range(2, n_max + 1):
         subsets = [m for m in range(1, (1 << n) - 1, 2)]
         structures = {m: structure_from_generators(n, [m]) for m in subsets}
@@ -138,21 +142,21 @@ def check_one_vanishing_law(n_max: int = 7, b_max: int = 4) -> SuiteResult:
                         f"b={b}, subset={indices_from_mask(m)}: "
                         f"closed form {got} != correction formula {want}"
                     )
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result
 
 
 def check_zero_identity(n_max: int = 7, b_max: int = 5) -> SuiteResult:
     """The alternating sum over all set partitions vanishes identically."""
     result = SuiteResult(f"zero identity (n<={n_max}, b<={b_max})")
-    start = time.time()
+    start = time.perf_counter()
     for n in range(2, n_max + 1):
         for b in _order_multisets(n, b_max):
             value = zero_identity_value(OrderProfile.from_pole_orders(b))
             result.checked += 1
             if value != 0:
                 result.record(f"b={b}: alternating sum is {value}, not 0")
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result
 
 
@@ -160,7 +164,7 @@ def check_two_nonzero_identity(n_max: int = 7, b_max: int = 4) -> SuiteResult:
     """All residues zero but an opposite pair: the count is
     (n-2)! prod (b_k - 1) over the zero-residue poles."""
     result = SuiteResult(f"two-nonzero identity (n<={n_max}, b<={b_max})")
-    start = time.time()
+    start = time.perf_counter()
     for n in range(2, n_max + 1):
         pair_structures = {}
         for i in range(1, n + 1):
@@ -177,18 +181,16 @@ def check_two_nonzero_identity(n_max: int = 7, b_max: int = 4) -> SuiteResult:
                     result.record(
                         f"b={b}, pair=({i},{j}): closed form {got} != product {want}"
                     )
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result
 
 
-def check_recursion_equivalence(
-    n_max: int = 6, b_max: int = 4, order_check_rank_max: int = 3
-) -> SuiteResult:
+def check_recursion_equivalence(n_max: int = 6, b_max: int = 4) -> SuiteResult:
     """The boundary recursion reproduces the closed form on every span-closed
     structure, and is independent of the order the generators are peeled.
     The two share only the zero-sum partitions of each structure."""
     result = SuiteResult(f"recursion equivalence (n<={n_max}, b<={b_max})")
-    start = time.time()
+    start = time.perf_counter()
     for n in range(2, n_max + 1):
         structures = all_vanishing_structures(n)
         profiles = [
@@ -211,7 +213,7 @@ def check_recursion_equivalence(
             OrderProfile.from_pole_orders(tuple(1 + (i % 2) for i in range(n))),
         ]
         candidates = [
-            s for s in structures if 2 <= s.rank <= order_check_rank_max
+            s for s in structures if 2 <= s.rank <= _ORDER_CHECK_RANK_MAX
         ]
         if n >= 6:
             candidates = candidates[::5]
@@ -227,7 +229,7 @@ def check_recursion_equivalence(
                             f"{[indices_from_mask(g) for g in order]}: "
                             f"recursion {got} != closed form"
                         )
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result
 
 
@@ -243,7 +245,7 @@ def check_oracle_equivalence(sum_b_max: int = 10, seeds: int = 20) -> SuiteResul
     """The symbolic elimination count agrees with the closed form for three
     poles, over seeded generic residues and every one-vanishing structure."""
     result = SuiteResult(f"oracle equivalence (sum b<={sum_b_max}, {seeds} seeds)")
-    start = time.time()
+    start = time.perf_counter()
     trivial = trivial_structure(3)
     one_vanishing = [structure_from_generators(3, [m]) for m in (0b001, 0b011, 0b101)]
     for b in _compositions_up_to(3, sum_b_max):
@@ -294,7 +296,7 @@ def check_oracle_equivalence(sum_b_max: int = 10, seeds: int = 20) -> SuiteResul
         result.record("zero residue tuple: closed form is not 0")
     if oracle_count(profile, zero) != 0:
         result.record("zero residue tuple: oracle is not 0")
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result
 
 
@@ -311,7 +313,7 @@ def check_monotonic_vanishing(n_max: int = 6, b_max: int = 4) -> SuiteResult:
     forced-zero residue.
     """
     result = SuiteResult(f"monotonicity and vanishing (n<={n_max}, b<={b_max})")
-    start = time.time()
+    start = time.perf_counter()
     for n in range(2, n_max + 1):
         structures = all_vanishing_structures(n)
         profiles = [
@@ -367,7 +369,7 @@ def check_monotonic_vanishing(n_max: int = 6, b_max: int = 4) -> SuiteResult:
     result.checked += 1
     if values != [12, 9, 5, 0]:
         result.record(f"named chain gave {values}, want [12, 9, 5, 0]")
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result
 
 
@@ -376,7 +378,7 @@ def check_degree_interpolation(n_max: int = 5) -> SuiteResult:
     orders: the simplex-lattice fit reproduces every held-out grid point and
     its top homogeneous component is nonzero."""
     result = SuiteResult(f"polynomial degree fits (n<={n_max})")
-    start = time.time()
+    start = time.perf_counter()
     for n in range(3, n_max + 1):
         samples = [trivial_structure(n), structure_from_generators(n, [0b001])]
         if n >= 4:
@@ -398,22 +400,22 @@ def check_degree_interpolation(n_max: int = 5) -> SuiteResult:
                     f"{report.total_degree}, top component nonzero = "
                     f"{report.top_component_nonzero}"
                 )
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result
 
 
-def check_multiplier_bridge(generic_seeds: int = 5) -> SuiteResult:
+def check_multiplier_bridge() -> SuiteResult:
     """Counting polynomial maps by their fixed-point multipliers: generic
     tuples give (n-2)! for n = 3, 4, and the two rejection modes fire."""
     result = SuiteResult("multiplier bridge")
-    start = time.time()
+    start = time.perf_counter()
 
     def rat(*args):
         return GaussianRational(Fraction(*args))
 
     one = rat(1)
     for n, want in ((3, 1), (4, 2)):
-        for seed in range(generic_seeds):
+        for seed in range(_GENERIC_SEEDS):
             residues = realize_residues(trivial_structure(n), seed)
             lams = tuple(one - one / r for r in residues.values)
             got = count_polynomials_with_multipliers(lams)
@@ -443,5 +445,5 @@ def check_multiplier_bridge(generic_seeds: int = 5) -> SuiteResult:
         result.record("index constraint violation was not rejected")
     except IndexConstraintViolated:
         pass
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result

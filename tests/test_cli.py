@@ -94,6 +94,14 @@ class TestCount:
         assert code == 2 and out == ""
         assert "--trace needs --recursive" in err
 
+    def test_trace_without_json_is_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--mu", "4,2,2,1,1", "--vanishings", "1,2",
+            "--recursive", "--trace",
+        )
+        assert code == 2 and out == ""
+        assert "--trace needs --json" in err
+
     def test_oracle_flag(self, capsys):
         report = run_json(
             capsys, "count", "--mu", "2,1,1,2", "--rho", "2,-1,-1", "--oracle", "--json"
@@ -190,6 +198,10 @@ class TestBatch:
             {"b": [2, 2, 2], "vanishings": "1", "seed": True},
             {"b": [2, 1, 1], "vanishings": "3", "oracle": "no"},
             {"b": [2, 2, 2], "vanishings": "1", "recursive": 1},
+            {"mu": 5, "vanishings": "1"},
+            {"mu": [], "vanishings": "1"},
+            {"b": [2, "x"], "vanishings": "1"},
+            {"b": "222", "vanishings": "1"},
         ],
     )
     def test_bad_field_type_is_a_line_error(self, tmp_path, capsys, bad):
@@ -201,6 +213,22 @@ class TestBatch:
         reports = [json.loads(line) for line in out.splitlines()]
         assert set(reports[0]) == {"line", "error"} and reports[0]["line"] == 1
         assert reports[1]["line"] == 2 and reports[1]["total"] == "1"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"mu": 5}, "mu must be a list of integers"),
+            ({"mu": [1.5, 1, 2]}, "mu must be a list of integers"),
+            ({"mu": []}, "mu needs the zero order and at least two pole orders"),
+            ({"b": [2, "x"]}, "b must be a list of integers"),
+        ],
+    )
+    def test_bad_pole_orders_are_named(self, tmp_path, capsys, bad, message):
+        path = tmp_path / "orders.jsonl"
+        path.write_text(json.dumps({**bad, "vanishings": "1"}) + "\n")
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == 1
+        assert json.loads(out) == {"line": 1, "error": message}
 
     def test_oracle_on_zero_tuple(self, tmp_path, capsys):
         path = tmp_path / "zero.jsonl"

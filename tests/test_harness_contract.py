@@ -4,7 +4,8 @@
 name from outside the program, and reads ``cache_info()`` from the cached
 ones.  A rename or a dropped cache would make ``--trace 1`` fail at start-up
 rather than here, so this test loads the tracer by path and checks every
-name it lists.
+name it lists.  Its result hooks read fields of what some of those calls
+return, so the shapes of those fields are checked here too.
 """
 
 import importlib
@@ -47,3 +48,22 @@ def test_cached_name_has_cache_info(short, attr, metric):
 def test_poly_gcd_is_a_staticmethod():
     poly = importlib.import_module("isoresidual.oracle").Poly
     assert isinstance(poly.__dict__["gcd"], staticmethod)
+
+
+def test_induced_structures_reports_an_integer_dimension():
+    # The tracer's stratum hook counts a stratum rigid when bottom_dim == 1.
+    levelgraph = importlib.import_module("isoresidual.levelgraph")
+    profiles = importlib.import_module("isoresidual.profiles")
+    graph = levelgraph.TwoLevelGraph(3, (0b011, 0b100))
+    induced = levelgraph.induced_structures(graph, profiles.trivial_structure(3))
+    assert type(induced.bottom_dim) is int and induced.bottom_dim == 1
+
+
+def test_closed_form_breakdown_holds_triples():
+    # The tracer's summed hook unpacks per_s as (s, value, size) triples.
+    counting = importlib.import_module("isoresidual.counting")
+    profiles = importlib.import_module("isoresidual.profiles")
+    profile = profiles.OrderProfile.from_pole_orders((2, 2, 1, 1))
+    structure = profiles.structure_from_generators(4, [0b0011])
+    breakdown = counting.count_closed_form(profile, structure)
+    assert [(s, size) for s, _, size in breakdown.per_s] == [(1, 1), (2, 1)]

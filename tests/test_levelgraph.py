@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from isoresidual import counting, levelgraph
 from isoresidual._linalg import kernel_contains, kernel_reduce
 from isoresidual.counting import count_closed_form, count_one_vanishing
+from isoresidual.exactarith import GaussianRational
 from isoresidual.levelgraph import (
     TwoLevelGraph,
     boundary_graphs,
@@ -17,6 +19,7 @@ from isoresidual.levelgraph import (
 from isoresidual.partitions import iter_set_partitions
 from isoresidual.profiles import (
     OrderProfile,
+    ResidueTuple,
     all_vanishing_structures,
     canonical_mask,
     full_mask,
@@ -25,6 +28,7 @@ from isoresidual.profiles import (
     structure_from_generators,
     structure_kernel,
     trivial_structure,
+    vanishing_subsets,
 )
 
 MU_3 = OrderProfile(2, (1, 1, 2))
@@ -178,6 +182,86 @@ class TestInducedStructures:
         top = induced.tops[0]
         # pole 1 keeps residue zero inside the component {1, 3, 4}
         assert top.rank == 1 and top.contains(0b001)
+
+
+def image_rank(rows):
+    """Rank over Q of integer rows, by Gaussian elimination."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col] / work[rank][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def induced_by_images(graph, previous):
+    """Reference for induced_structures: the bottom from the image of the
+    admissible tuples under the block sums, with the direction's own
+    vanishing subsets when the image is a line."""
+    m = len(graph.blocks)
+    base = structure_kernel(previous)
+    images = [
+        tuple(sum(row[i - 1] for i in indices_from_mask(block)) for block in graph.blocks)
+        for row in base
+    ]
+    bottom_dim = image_rank(images)
+    if bottom_dim == 0:
+        bottom = identically_zero_structure(m)
+    elif bottom_dim == 1:
+        direction = next(image for image in images if any(image))
+        bottom = vanishing_subsets(
+            ResidueTuple(tuple(GaussianRational(Fraction(x)) for x in direction))
+        )
+    else:
+        bottom = structure_from_generators(m, [
+            local
+            for local in range(1, full_mask(m), 2)
+            if all(sum(image[j] for j in range(m) if local >> j & 1) == 0 for image in images)
+        ])
+    top_kernel = base
+    for block in graph.blocks:
+        top_kernel = kernel_reduce(top_kernel, block)
+    tops = []
+    for block in graph.blocks:
+        poles = indices_from_mask(block)
+        if len(poles) == 1:
+            tops.append(None)
+            continue
+        tops.append(structure_from_generators(len(poles), [
+            local
+            for local in range(1, full_mask(len(poles)), 2)
+            if kernel_contains(
+                top_kernel,
+                sum(1 << (p - 1) for j, p in enumerate(poles) if local >> j & 1),
+            )
+        ]))
+    return bottom, bottom_dim, tuple(tops)
+
+
+class TestInducedByImages:
+    def test_every_stratum_up_to_five_poles(self):
+        pairs = 0
+        for n in range(2, 6):
+            for previous in all_vanishing_structures(n):
+                for blocks in iter_set_partitions(full_mask(n)):
+                    if len(blocks) < 2:
+                        continue
+                    graph = TwoLevelGraph(n, blocks)
+                    induced = induced_structures.__wrapped__(graph, previous)
+                    got = (induced.bottom, induced.bottom_dim, induced.tops)
+                    assert got == induced_by_images(graph, previous), (
+                        [indices_from_mask(g) for g in previous.generators],
+                        [indices_from_mask(b) for b in blocks],
+                    )
+                    pairs += 1
+        assert pairs == 6241  # 5967 of them at five poles
 
 
 class TestCountRecursive:
