@@ -11,17 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 from . import verification
 from .counting import count_closed_form, degenerate_simple_poles
-from .errors import IsoresidualError
-from .exactarith import parse_gaussian_rational
+from .errors import IsoresidualError, ParseError
+from .exactarith import GaussianRational, parse_gaussian_rational
 from .levelgraph import count_recursive
 from .oracle import multipliers_to_residues, oracle_count
 from .partitions import enumerate_partitions, zero_sum_plan
 from .profiles import (
     OrderProfile,
     ResidueTuple,
+    VanishingStructure,
     indices_from_mask,
     mask_from_indices,
     realize_residues,
@@ -44,66 +46,130 @@ class _Invalid(Exception):
     pass
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise _Invalid(f"bad {what}: {exc}") from None
+# What bad input raises; the package's own input errors are ValueErrors.
+_ERRORS = (_Invalid, IsoresidualError, ValueError)
+
+# The fields of a request, the same for a batch line and for the flags of
+# ``count`` and ``oracle``; any other key is an error.
+_FIELDS = ("mu", "b", "rho", "vanishings", "seed", "recursive", "oracle")
 
 
-def _profile_from_mu(values: list[int], what: str) -> OrderProfile:
-    if len(values) < 3:
-        raise _Invalid(f"{what} needs the zero order and at least two pole orders")
-    return OrderProfile(values[0], tuple(values[1:]))
+@dataclass(frozen=True)
+class _Request:
+    """One validated count: what a batch line or the flags ask for."""
+
+    profile: OrderProfile
+    structure: VanishingStructure
+    residues: ResidueTuple | None
+    seed: int
+    recursive: bool
+    oracle: bool
+
+    def __post_init__(self):
+        if self.oracle and self.profile.n > 3:
+            raise _Invalid("the elimination oracle handles at most three poles")
 
 
-def _profile_from_args(mu: str | None, b: str | None) -> OrderProfile:
-    if (mu is None) == (b is None):
-        raise _Invalid("exactly one of --mu or --b is required")
-    try:
-        if mu is not None:
-            return _profile_from_mu(_parse_int_list(mu, "--mu"), "--mu")
-        return OrderProfile.from_pole_orders(_parse_int_list(b, "--b"))
-    except ValueError as exc:
-        raise _Invalid(str(exc)) from None
-
-
-def _request_ints(request: dict, key: str) -> list[int]:
-    values = request[key]
-    if type(values) is list and all(type(x) is int for x in values):  # no bools
-        return values
-    raise _Invalid(f"{key} must be a list of integers")
-
-
-def _residues_from_text(parts: list[str]) -> ResidueTuple:
-    try:
-        return ResidueTuple(tuple(parse_gaussian_rational(p) for p in parts))
-    except (IsoresidualError, ValueError, ZeroDivisionError) as exc:
-        raise _Invalid(f"bad residues: {exc}") from None
-
-
-def _parse_vanishings(text: str, n: int) -> list[int]:
-    masks = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+def _ints(text: str, key: str) -> list[int]:
+    """Comma-separated integers, as in ``--b`` or a ``vanishings`` subset."""
+    values = []
+    for part in text.split(","):
         try:
-            masks.append(mask_from_indices(_parse_int_list(chunk, "--vanishings"), n))
-        except ValueError as exc:
-            raise _Invalid(f"bad --vanishings: {exc}") from None
-    return masks
+            values.append(int(part))
+        except ValueError:
+            raise _Invalid(f"bad {key}: {part.strip()!r} is not an integer") from None
+    return values
+
+
+def _gaussians(parts, key: str) -> tuple[GaussianRational, ...]:
+    """Exact Gaussian rationals from their text forms."""
+    values = []
+    for part in parts:
+        try:
+            values.append(parse_gaussian_rational(part))
+        except ZeroDivisionError:
+            raise _Invalid(f"bad {key}: zero denominator in {part!r}") from None
+        except ParseError as exc:
+            raise _Invalid(f"bad {key}: {exc} in {part!r}") from None
+    return tuple(values)
+
+
+def _request_fields(args) -> dict:
+    """The request flags given to ``count`` or ``oracle``, as batch-line fields."""
+    fields = {}
+    for key in _FIELDS:
+        value = getattr(args, key, None)
+        if value is not None and value is not False:
+            fields[key] = _ints(value, key) if key in ("mu", "b") else value
+    return fields
+
+
+def _one_of(fields: dict, first: str, second: str) -> str:
+    if (first in fields) == (second in fields):
+        raise _Invalid(f"exactly one of {first} or {second} is required")
+    return first if first in fields else second
+
+
+def _parse_request(fields) -> _Request:
+    """Validate a request's fields.  A fault raises ``_Invalid`` naming the
+    field, or the ``ValueError`` of the profile or structure it breaks."""
+    if type(fields) is not dict:
+        raise _Invalid("a request must be a JSON object")
+    unknown = sorted(set(fields).difference(_FIELDS))
+    if unknown:
+        raise _Invalid(f"unknown field {', '.join(map(repr, unknown))}")
+    key = _one_of(fields, "mu", "b")
+    orders = fields[key]
+    # type() and not isinstance(): a bool is an int but no order or seed.
+    if type(orders) is not list or any(type(x) is not int for x in orders):
+        raise _Invalid(f"{key} must be a list of integers")
+    if key == "mu":
+        if len(orders) < 3:
+            raise _Invalid("mu needs the zero order and at least two pole orders")
+        profile = OrderProfile(orders[0], tuple(orders[1:]))
+    else:
+        profile = OrderProfile.from_pole_orders(orders)
+    seed = fields.get("seed", 0)
+    if type(seed) is not int:
+        raise _Invalid("seed must be an integer")
+    switches = {name: fields.get(name, False) for name in ("recursive", "oracle")}
+    for name, value in switches.items():
+        if type(value) is not bool:
+            raise _Invalid(f"{name} must be true or false")
+
+    if _one_of(fields, "rho", "vanishings") == "rho":
+        rho = fields["rho"]
+        if isinstance(rho, str):
+            rho = rho.split(",")
+        elif type(rho) is not list or not all(isinstance(p, str) for p in rho):
+            raise _Invalid("rho must be a string or a list of strings")
+        residues = ResidueTuple(_gaussians(rho, "rho"))
+        if residues.n != profile.n:
+            raise _Invalid(f"{residues.n} residues given for {profile.n} poles")
+        structure = vanishing_subsets(residues)
+    else:
+        residues = None
+        text = fields["vanishings"]
+        if not isinstance(text, str):
+            raise _Invalid("vanishings must be a string")
+        masks = []
+        for chunk in text.split(";"):
+            if chunk.strip():
+                try:
+                    masks.append(mask_from_indices(_ints(chunk, "vanishings"), profile.n))
+                except ValueError as exc:
+                    raise _Invalid(f"bad vanishings: {exc}") from None
+        structure = structure_from_generators(profile.n, masks)
+    return _Request(profile, structure, residues, seed, **switches)
 
 
 def _closure_lists(structure) -> list[list[int]]:
     return [list(indices_from_mask(m)) for m in structure.sorted_closure()]
 
 
-def _build_report(profile, structure, residues, seed, *, recursive=False,
-                  oracle=False, trace=False):
+def _build_report(request: _Request, *, trace=False):
     """Shared report builder for count, batch and multipliers paths."""
-    if oracle and profile.n > 3:
-        raise _Invalid("--oracle needs at most three poles")
+    profile, structure, residues = request.profile, request.structure, request.residues
     breakdown = count_closed_form(profile, structure)
     report = {
         "input": {"mu": [profile.a, *profile.b]},
@@ -118,7 +184,7 @@ def _build_report(profile, structure, residues, seed, *, recursive=False,
             ",".join(str(i) for i in indices_from_mask(g))
             for g in structure.generators
         )
-    report["input"]["seed"] = seed
+    report["input"]["seed"] = request.seed
     report["closure"] = _closure_lists(structure)
     report["rank"] = structure.rank
     report["max_parts"] = breakdown.max_parts
@@ -135,7 +201,7 @@ def _build_report(profile, structure, residues, seed, *, recursive=False,
         report["warnings"] = warnings_list
 
     mismatch = False
-    if recursive:
+    if request.recursive:
         trace_list: list | None = [] if trace else None
         recursive_total = count_recursive(profile, structure, trace=trace_list)
         entry = {
@@ -146,8 +212,8 @@ def _build_report(profile, structure, residues, seed, *, recursive=False,
             entry["trace"] = trace_list
         report["recursive"] = entry
         mismatch = mismatch or not entry["match"]
-    if oracle:
-        rho = residues if residues is not None else realize_residues(structure, seed)
+    if request.oracle:
+        rho = residues if residues is not None else realize_residues(structure, request.seed)
         oracle_total = oracle_count(profile, rho)
         entry = {
             "count": str(oracle_total),
@@ -201,42 +267,13 @@ def _emit(report: dict, structure, as_json: bool):
         print(f"elimination oracle: {entry['count']} ({status})")
 
 
-def _structure_for_request(profile, rho_text, vanishings_text):
-    if (rho_text is None) == (vanishings_text is None):
-        raise _Invalid("exactly one of --rho or --vanishings is required")
-    if rho_text is not None:
-        if isinstance(rho_text, str):
-            parts = rho_text.split(",")
-        elif isinstance(rho_text, list) and all(isinstance(p, str) for p in rho_text):
-            parts = rho_text
-        else:
-            raise _Invalid("rho must be a string or a list of strings")
-        residues = _residues_from_text(parts)
-        if residues.n != profile.n:
-            raise _Invalid(
-                f"{residues.n} residues given for {profile.n} poles"
-            )
-        return vanishing_subsets(residues), residues
-    if not isinstance(vanishings_text, str):
-        raise _Invalid("vanishings must be a string")
-    masks = _parse_vanishings(vanishings_text, profile.n)
-    try:
-        return structure_from_generators(profile.n, masks), None
-    except ValueError as exc:
-        raise _Invalid(str(exc)) from None
-
-
 def _cmd_count(args) -> int:
     for needed in ("recursive", "json"):
         if args.trace and not getattr(args, needed):
             raise _Invalid(f"--trace needs --{needed}")
-    profile = _profile_from_args(args.mu, args.b)
-    structure, residues = _structure_for_request(profile, args.rho, args.vanishings)
-    report, mismatch = _build_report(
-        profile, structure, residues, args.seed,
-        recursive=args.recursive, oracle=args.oracle, trace=args.trace,
-    )
-    _emit(report, structure, args.json)
+    request = _parse_request(_request_fields(args))
+    report, mismatch = _build_report(request, trace=args.trace)
+    _emit(report, request.structure, args.json)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
@@ -254,79 +291,44 @@ def _cmd_batch(args) -> int:
             if not line:
                 continue
             try:
-                request = json.loads(line)
-                if not isinstance(request, dict):
-                    raise _Invalid("each line must be a JSON object")
-                if "mu" in request:
-                    profile = _profile_from_mu(_request_ints(request, "mu"), "mu")
-                elif "b" in request:
-                    profile = OrderProfile.from_pole_orders(_request_ints(request, "b"))
-                else:
-                    raise _Invalid("request needs 'mu' or 'b'")
-                seed = request.get("seed", 0)
-                # type() and not isinstance(): a bool is an int but no seed.
-                if type(seed) is not int:
-                    raise _Invalid("seed must be an integer")
-                switches = {
-                    key: request.get(key, False) for key in ("recursive", "oracle")
-                }
-                for key, value in switches.items():
-                    if type(value) is not bool:
-                        raise _Invalid(f"{key} must be true or false")
-                structure, residues = _structure_for_request(
-                    profile, request.get("rho"), request.get("vanishings")
-                )
-                report, mismatch = _build_report(
-                    profile, structure, residues, seed, **switches
-                )
-                _list_partitions(report, structure)
-                report["line"] = line_no
-                any_mismatch = any_mismatch or mismatch
-                print(_report_json(report))
-            except (
-                _Invalid, IsoresidualError, ValueError, KeyError,
-                IndexError, TypeError, ZeroDivisionError, json.JSONDecodeError,
-            ) as exc:
+                request = _parse_request(json.loads(line))
+                report, mismatch = _build_report(request)
+            except _ERRORS as exc:
                 any_failed = True
                 print(json.dumps({"line": line_no, "error": str(exc)}))
+                continue
+            any_mismatch = any_mismatch or mismatch
+            print(_report_json({**_list_partitions(report, request.structure), "line": line_no}))
     if any_failed:
         return EXIT_FAILED
     return EXIT_MISMATCH if any_mismatch else EXIT_OK
 
 
 def _cmd_multipliers(args) -> int:
-    try:
-        lams = tuple(
-            parse_gaussian_rational(part) for part in args.lambdas.split(",")
-        )
-    except (IsoresidualError, ValueError, ZeroDivisionError) as exc:
-        raise _Invalid(f"bad multipliers: {exc}") from None
+    lams = _gaussians(args.lambdas.split(","), "lambdas")
     residues = multipliers_to_residues(lams)
-    profile = OrderProfile.from_pole_orders((1,) * residues.n)
-    structure = vanishing_subsets(residues)
-    report, mismatch = _build_report(
-        profile, structure, residues, args.seed,
-        recursive=args.recursive, oracle=args.oracle,
+    request = _Request(
+        OrderProfile.from_pole_orders((1,) * residues.n), vanishing_subsets(residues),
+        residues, args.seed, args.recursive, args.oracle,
     )
+    report, mismatch = _build_report(request)
     report["input"]["lambdas"] = [str(v) for v in lams]
-    _emit(report, structure, args.json)
+    _emit(report, request.structure, args.json)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    profile = _profile_from_args(args.mu, args.b)
-    if profile.n > 3:
-        raise _Invalid("the elimination oracle handles at most three poles")
-    structure, residues = _structure_for_request(profile, args.rho, args.vanishings)
+    request = _parse_request({**_request_fields(args), "oracle": True})
+    profile, residues = request.profile, request.residues
     if residues is None:
-        residues = realize_residues(structure, args.seed)
+        residues = realize_residues(request.structure, request.seed)
     oracle_total = oracle_count(profile, residues)
-    closed = count_closed_form(profile, structure).total
+    closed = count_closed_form(profile, request.structure).total
     report = {
         "input": {
             "mu": [profile.a, *profile.b],
             "rho": [str(v) for v in residues.values],
-            "seed": args.seed,
+            "seed": request.seed,
         },
         "oracle_count": str(oracle_total),
         "closed_form": str(closed),
@@ -396,18 +398,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_profile_flags(parser):
+def _add_request_flags(parser):
     parser.add_argument("--mu", help="zero order and pole orders: a,b1,...,bn")
     parser.add_argument("--b", help="pole orders b1,...,bn (zero order inferred)")
-
-
-def _add_structure_flags(parser):
     parser.add_argument("--rho", help="comma-separated exact residues, e.g. 2,-1,-1")
     parser.add_argument(
         "--vanishings",
         help="generator subsets as 1-based indices, e.g. \"1,2;3,4\" (empty for none)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for realized residues")
+    parser.add_argument("--seed", type=int, help="seed for realized residues (default 0)")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
@@ -419,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="count one configuration")
-    _add_profile_flags(count)
-    _add_structure_flags(count)
+    _add_request_flags(count)
     count.add_argument("--recursive", action="store_true",
                        help="cross-check with the boundary recursion")
     count.add_argument("--oracle", action="store_true",
@@ -452,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     multipliers.set_defaults(func=_cmd_multipliers)
 
     oracle = sub.add_parser("oracle", help="run the elimination oracle (n <= 3)")
-    _add_profile_flags(oracle)
-    _add_structure_flags(oracle)
+    _add_request_flags(oracle)
     oracle.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -464,7 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_Invalid, IsoresidualError, ValueError, ZeroDivisionError) as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

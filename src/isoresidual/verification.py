@@ -75,7 +75,8 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return self.failure_count == 0
+        # A sweep whose bounds leave it nothing to check proves nothing.
+        return self.checked > 0 and self.failure_count == 0
 
     def record(self, message: str):
         self.failure_count += 1

@@ -1,7 +1,10 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isoresidual import verification
 from isoresidual.cli import main
@@ -250,11 +253,140 @@ class TestBatch:
         path.write_text(json.dumps(line) + "\n")
         code, out, _ = run(capsys, "batch", str(path))
         assert code == 1
-        assert json.loads(out) == {"line": 1, "error": "--oracle needs at most three poles"}
+        assert json.loads(out) == {
+            "line": 1, "error": "the elimination oracle handles at most three poles"
+        }
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"mu": [4, 2, 2, 2], "b": [2, 2, 2], "vanishings": "1"},
+             "exactly one of mu or b is required"),
+            ({"b": [2, 2, 2], "vanishings": "1", "recursve": True}, "unknown field 'recursve'"),
+            ({"b": [2, 2, 2], "vanishings": "1", "trace": True}, "unknown field 'trace'"),
+            ({"b": [2, 2, 2], "vanishings": "a"}, "bad vanishings: 'a' is not an integer"),
+            ({"b": [2, 2, 2], "rho": ["1/0", "-1", "0"]}, "bad rho: zero denominator in '1/0'"),
+            ({"b": [2, 2, 2]}, "exactly one of rho or vanishings is required"),
+        ],
+    )
+    def test_line_error_names_the_field(self, tmp_path, capsys, bad, message):
+        path = tmp_path / "fields.jsonl"
+        path.write_text(json.dumps(bad) + "\n")
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == 1
+        assert json.loads(out) == {"line": 1, "error": message}
+        assert not any(text in out for text in ("--", "invalid literal", "Fraction("))
+
+    def test_oracle_pole_limit_is_one_message(self, tmp_path, capsys):
+        errors = [
+            run(capsys, *argv)
+            for argv in (
+                ("count", "--b", "2,2,1,1", "--vanishings", "1,2", "--oracle"),
+                ("oracle", "--b", "2,2,1,1", "--vanishings", "1,2"),
+            )
+        ]
+        path = tmp_path / "oracle.jsonl"
+        line = {"b": [2, 2, 1, 1], "vanishings": "1,2", "oracle": True}
+        path.write_text(json.dumps(line) + "\n")
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == 1
+        message = json.loads(out)["error"]
+        assert errors == [(2, "", f"error: {message}\n")] * 2
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "/nonexistent/path.jsonl")
         assert code == 2
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _well_formed(draw):
+    """A request at n <= 6 in any of the shapes the README allows."""
+    b = draw(st.lists(st.integers(1, 3), min_size=2, max_size=6))
+    n = len(b)
+    line = {"mu": [sum(b) - 2, *b]} if draw(st.booleans()) else {"b": b}
+    if draw(st.booleans()):
+        subsets = st.lists(st.integers(1, n), min_size=1, max_size=n)
+        line["vanishings"] = ";".join(
+            ",".join(map(str, subset)) for subset in draw(st.lists(subsets, max_size=n - 1))
+        )
+    else:
+        values = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        rho = [*map(str, values), str(-sum(values))]
+        line["rho"] = rho if draw(st.booleans()) else ",".join(rho)
+    if draw(st.booleans()):
+        line["seed"] = draw(st.integers(-5, 5))
+    for key in ("recursive", "oracle"):
+        if draw(st.booleans()):
+            line[key] = draw(st.booleans())
+    return line
+
+
+@st.composite
+def _malformed(draw):
+    """A request with fields dropped or of the wrong type, and extra keys."""
+    line = draw(_well_formed())
+    for key in draw(st.sets(st.sampled_from(sorted(line)))):
+        if draw(st.booleans()):
+            del line[key]
+        else:
+            line[key] = draw(_JSON_VALUES)
+    keys = st.sampled_from(["mu", "b", "rho", "vanishings", "seed", "recursve", "trace"])
+    line.update(draw(st.dictionaries(keys | st.text(max_size=4), _JSON_VALUES, max_size=1)))
+    return json.dumps(line)
+
+
+_BATCH_LINES = st.lists(
+    st.one_of(
+        _well_formed().map(json.dumps),
+        _malformed(),
+        _JSON_VALUES.filter(lambda value: not isinstance(value, dict)).map(json.dumps),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                max_size=20),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=_BATCH_LINES)
+def test_batch_fuzz_gives_one_object_per_line(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("fuzz") / "requests.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["batch", str(path)])
+    objects = [json.loads(text) for text in out.getvalue().splitlines()]
+    assert [obj["line"] for obj in objects] == [
+        number for number, text in enumerate(lines, start=1) if text.strip()
+    ]
+    errors = [obj for obj in objects if "error" in obj]
+    assert all(set(obj) == {"line", "error"} for obj in errors)
+    assert all({"input", "total"} <= set(obj) for obj in objects if "error" not in obj)
+    assert code in (0, 1, 3) and (code == 1) == bool(errors)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--b", "2,2,2", "--rho", "1/0,-1,0"),
+        ("oracle", "--b", "2,2,2", "--rho", "1/0,-1,0"),
+        ("multipliers", "--lambdas", "0,1/0,3"),
+    ],
+)
+def test_zero_denominator_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "zero denominator in '1/0'" in err and "Fraction(" not in err
 
 
 class TestMultipliers:
@@ -325,7 +457,7 @@ class TestVerify:
 
         def fake(**kwargs):
             calls.append(kwargs)
-            return verification.SuiteResult("fake")
+            return verification.SuiteResult("fake", checked=1)
 
         monkeypatch.setattr(verification, "check_recursion_equivalence", fake)
         return calls
@@ -349,6 +481,14 @@ class TestVerify:
     def test_flag_the_suite_does_not_take_is_rejected(self, capsys, sweep_calls, suite, flag):
         code, _, err = run(capsys, "verify", suite, flag, "3")
         assert code == 2 and flag in err and sweep_calls == []
+
+    @pytest.mark.parametrize(
+        "suite, bound", [("recursion", "1"), ("identities", "1"), ("degree", "2")]
+    )
+    def test_empty_sweep_fails(self, capsys, suite, bound):
+        code, out, _ = run(capsys, "verify", suite, "--n-max", bound)
+        assert code == 1
+        assert "FAIL" in out and " 0 checks" in out
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -67,3 +67,10 @@ def test_closed_form_breakdown_holds_triples():
     structure = profiles.structure_from_generators(4, [0b0011])
     breakdown = counting.count_closed_form(profile, structure)
     assert [(s, size) for s, _, size in breakdown.per_s] == [(1, 1), (2, 1)]
+
+
+def test_cli_entry_points_are_callable():
+    # The benchmark worker builds the parser at start-up and calls main per job.
+    cli = importlib.import_module("isoresidual.cli")
+    assert callable(cli.main) and callable(cli.build_parser)
+    assert cli.build_parser().prog == "isoresidual"
