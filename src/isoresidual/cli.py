@@ -9,6 +9,7 @@ failure, 2 validation error, 3 internal cross-check mismatch.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .profiles import (
     OrderProfile,
     ResidueTuple,
     VanishingStructure,
+    canonical_mask,
     indices_from_mask,
     mask_from_indices,
     realize_residues,
@@ -50,7 +52,7 @@ class _Invalid(Exception):
 _ERRORS = (_Invalid, IsoresidualError, ValueError)
 
 # The fields of a request, the same for a batch line and for the flags of
-# ``count`` and ``oracle``; any other key is an error.
+# ``count``, ``oracle`` and ``multipliers``; any other key is an error.
 _FIELDS = ("mu", "b", "rho", "vanishings", "seed", "recursive", "oracle")
 
 
@@ -81,6 +83,10 @@ def _ints(text: str, key: str) -> list[int]:
     return values
 
 
+def _too_long() -> str:
+    return f"a number has more than {sys.get_int_max_str_digits()} digits"
+
+
 def _gaussians(parts, key: str) -> tuple[GaussianRational, ...]:
     """Exact Gaussian rationals from their text forms."""
     values = []
@@ -91,11 +97,13 @@ def _gaussians(parts, key: str) -> tuple[GaussianRational, ...]:
             raise _Invalid(f"bad {key}: zero denominator in {part!r}") from None
         except ParseError as exc:
             raise _Invalid(f"bad {key}: {exc} in {part!r}") from None
+        except ValueError:  # int() refuses a number this long
+            raise _Invalid(f"bad {key}: {_too_long()}") from None
     return tuple(values)
 
 
 def _request_fields(args) -> dict:
-    """The request flags given to ``count`` or ``oracle``, as batch-line fields."""
+    """The request flags given to a command, as batch-line fields."""
     fields = {}
     for key in _FIELDS:
         value = getattr(args, key, None)
@@ -156,15 +164,12 @@ def _parse_request(fields) -> _Request:
         for chunk in text.split(";"):
             if chunk.strip():
                 try:
-                    masks.append(mask_from_indices(_ints(chunk, "vanishings"), profile.n))
+                    mask = mask_from_indices(_ints(chunk, "vanishings"), profile.n)
+                    masks.append(canonical_mask(mask, profile.n))
                 except ValueError as exc:
                     raise _Invalid(f"bad vanishings: {exc}") from None
         structure = structure_from_generators(profile.n, masks)
     return _Request(profile, structure, residues, seed, **switches)
-
-
-def _closure_lists(structure) -> list[list[int]]:
-    return [list(indices_from_mask(m)) for m in structure.sorted_closure()]
 
 
 def _build_report(request: _Request, *, trace=False):
@@ -185,7 +190,7 @@ def _build_report(request: _Request, *, trace=False):
             for g in structure.generators
         )
     report["input"]["seed"] = request.seed
-    report["closure"] = _closure_lists(structure)
+    report["closure"] = [list(indices_from_mask(m)) for m in structure.sorted_closure()]
     report["rank"] = structure.rank
     report["max_parts"] = breakdown.max_parts
     report["terms"] = [
@@ -277,6 +282,18 @@ def _cmd_count(args) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
+def _load(line: str):
+    """A batch line's JSON value; what the decoder refuses is a typed error."""
+    try:
+        return json.loads(line)
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise _Invalid("the line nests too deeply to read") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refuses a number this long
+        raise _Invalid(_too_long()) from None
+
+
 def _cmd_batch(args) -> int:
     any_failed = False
     any_mismatch = False
@@ -291,7 +308,7 @@ def _cmd_batch(args) -> int:
             if not line:
                 continue
             try:
-                request = _parse_request(json.loads(line))
+                request = _parse_request(_load(line))
                 report, mismatch = _build_report(request)
             except _ERRORS as exc:
                 any_failed = True
@@ -306,11 +323,8 @@ def _cmd_batch(args) -> int:
 
 def _cmd_multipliers(args) -> int:
     lams = _gaussians(args.lambdas.split(","), "lambdas")
-    residues = multipliers_to_residues(lams)
-    request = _Request(
-        OrderProfile.from_pole_orders((1,) * residues.n), vanishing_subsets(residues),
-        residues, args.seed, args.recursive, args.oracle,
-    )
+    rho = [str(v) for v in multipliers_to_residues(lams).values]
+    request = _parse_request({**_request_fields(args), "b": [1] * len(rho), "rho": rho})
     report, mismatch = _build_report(request)
     report["input"]["lambdas"] = [str(v) for v in lams]
     _emit(report, request.structure, args.json)
@@ -318,57 +332,56 @@ def _cmd_multipliers(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    """The oracle's entry of a ``count --oracle`` report, with its closed form."""
     request = _parse_request({**_request_fields(args), "oracle": True})
-    profile, residues = request.profile, request.residues
-    if residues is None:
-        residues = realize_residues(request.structure, request.seed)
-    oracle_total = oracle_count(profile, residues)
-    closed = count_closed_form(profile, request.structure).total
-    report = {
-        "input": {
-            "mu": [profile.a, *profile.b],
-            "rho": [str(v) for v in residues.values],
-            "seed": request.seed,
-        },
-        "oracle_count": str(oracle_total),
-        "closed_form": str(closed),
-        "match": oracle_total == closed,
-    }
+    report, mismatch = _build_report(request)
+    given, entry = report["input"], report["oracle"]
     if args.json:
-        print(json.dumps(report))
+        print(json.dumps({
+            "input": {"mu": given["mu"], "rho": entry["rho"], "seed": given["seed"]},
+            "oracle_count": entry["count"],
+            "closed_form": report["total"],
+            "match": entry["match"],
+        }))
     else:
-        status = "matches" if report["match"] else "MISMATCH"
-        print(f"oracle count = {oracle_total}, closed form = {closed} ({status})")
-    return EXIT_OK if report["match"] else EXIT_MISMATCH
+        status = "matches" if entry["match"] else "MISMATCH"
+        print(f"oracle count = {entry['count']}, "
+              f"closed form = {report['total']} ({status})")
+    return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-# The checks behind each suite, by name in ``verification``, with the verify
-# bounds each one takes; a bound left out falls back to the check's default.
-_BOUNDS = ("n_max", "b_max", "sum_b_max", "seeds")
-_N_B = ("n_max", "b_max")
+# The checks behind each suite, by name in ``verification``.  The verify
+# bounds each one takes are the parameters of its signature, read here once
+# so that a check replaced later still takes what the real one does.
 _SUITES = {
-    "identities": {"check_zero_identity": _N_B, "check_two_nonzero_identity": _N_B},
-    "special-cases": {"check_general_residue_law": _N_B, "check_one_vanishing_law": _N_B},
-    "recursion": {"check_recursion_equivalence": _N_B},
-    "oracle": {"check_oracle_equivalence": ("sum_b_max", "seeds"), "check_multiplier_bridge": ()},
-    "monotonic": {"check_monotonic_vanishing": _N_B},
-    "degree": {"check_degree_interpolation": ("n_max",)},
+    "identities": ("check_zero_identity", "check_two_nonzero_identity"),
+    "special-cases": ("check_general_residue_law", "check_one_vanishing_law"),
+    "recursion": ("check_recursion_equivalence",),
+    "oracle": ("check_oracle_equivalence", "check_multiplier_bridge"),
+    "monotonic": ("check_monotonic_vanishing",),
+    "degree": ("check_degree_interpolation",),
 }
+_TAKES = {
+    name: tuple(inspect.signature(getattr(verification, name)).parameters)
+    for names in _SUITES.values()
+    for name in names
+}
+_BOUNDS = ("n_max", "b_max", "sum_b_max", "seeds")
 
 
 def _cmd_verify(args) -> int:
     suite = _SUITES[args.suite]
-    taken = {flag for flags in suite.values() for flag in flags}
-    for flag in _BOUNDS:
-        if getattr(args, flag) is not None and flag not in taken:
+    given = {flag: getattr(args, flag) for flag in _BOUNDS if getattr(args, flag) is not None}
+    for flag in given:
+        if not any(flag in _TAKES[name] for name in suite):
             raise _Invalid(
                 f"verify {args.suite} does not take --{flag.replace('_', '-')}"
             )
     results = [
         getattr(verification, name)(**{
-            flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None
+            flag: value for flag, value in given.items() if flag in _TAKES[name]
         })
-        for name, flags in suite.items()
+        for name in suite
     ]
     all_passed = all(r.passed for r in results)
     if args.json:
@@ -398,31 +411,32 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_request_flags(parser):
-    parser.add_argument("--mu", help="zero order and pole orders: a,b1,...,bn")
-    parser.add_argument("--b", help="pole orders b1,...,bn (zero order inferred)")
-    parser.add_argument("--rho", help="comma-separated exact residues, e.g. 2,-1,-1")
-    parser.add_argument(
-        "--vanishings",
-        help="generator subsets as 1-based indices, e.g. \"1,2;3,4\" (empty for none)",
-    )
-    parser.add_argument("--seed", type=int, help="seed for realized residues (default 0)")
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isoresidual",
         description="Exact counts of single-zero differentials with fixed residues",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags of a request, in the groups that commands share: ``count``
+    # takes all three, ``oracle`` the first two and ``multipliers`` the last two.
+    given, output, checks = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    given.add_argument("--mu", help="zero order and pole orders: a,b1,...,bn")
+    given.add_argument("--b", help="pole orders b1,...,bn (zero order inferred)")
+    given.add_argument("--rho", help="comma-separated exact residues, e.g. 2,-1,-1")
+    given.add_argument(
+        "--vanishings",
+        help="generator subsets as 1-based indices, e.g. \"1,2;3,4\" (empty for none)",
+    )
+    output.add_argument("--seed", type=int, help="seed for realized residues (default 0)")
+    output.add_argument("--json", action="store_true", help="emit a JSON report")
+    checks.add_argument("--recursive", action="store_true",
+                        help="cross-check with the boundary recursion")
+    checks.add_argument("--oracle", action="store_true",
+                        help="cross-check with symbolic elimination (n <= 3)")
 
-    count = sub.add_parser("count", help="count one configuration")
-    _add_request_flags(count)
-    count.add_argument("--recursive", action="store_true",
-                       help="cross-check with the boundary recursion")
-    count.add_argument("--oracle", action="store_true",
-                       help="cross-check with symbolic elimination (n <= 3)")
+    count = sub.add_parser(
+        "count", parents=[given, output, checks], help="count one configuration"
+    )
     count.add_argument("--trace", action="store_true",
                        help="per-level recursion term table (needs --recursive and --json)")
     count.set_defaults(func=_cmd_count)
@@ -439,18 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
     batch.set_defaults(func=_cmd_batch)
 
     multipliers = sub.add_parser(
-        "multipliers", help="count polynomial maps with given fixed-point multipliers"
+        "multipliers", parents=[output, checks],
+        help="count polynomial maps with given fixed-point multipliers",
     )
     multipliers.add_argument("--lambdas", required=True,
                              help="comma-separated multipliers, e.g. 0,1/2,4/3")
-    multipliers.add_argument("--seed", type=int, default=0)
-    multipliers.add_argument("--json", action="store_true")
-    multipliers.add_argument("--recursive", action="store_true")
-    multipliers.add_argument("--oracle", action="store_true")
     multipliers.set_defaults(func=_cmd_multipliers)
 
-    oracle = sub.add_parser("oracle", help="run the elimination oracle (n <= 3)")
-    _add_request_flags(oracle)
+    oracle = sub.add_parser(
+        "oracle", parents=[given, output], help="run the elimination oracle (n <= 3)"
+    )
     oracle.set_defaults(func=_cmd_oracle)
 
     return parser

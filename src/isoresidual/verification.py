@@ -8,9 +8,11 @@ the failures found (empty means the law held everywhere).  The CLI's
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from functools import wraps
+from itertools import combinations_with_replacement, permutations, product
 
 from .counting import (
     check_polynomial_degree,
@@ -78,6 +80,13 @@ class SuiteResult:
         # A sweep whose bounds leave it nothing to check proves nothing.
         return self.checked > 0 and self.failure_count == 0
 
+    def expect(self, ok: bool, describe: Callable[[], str]):
+        """Count one check, and record ``describe()`` if it failed.  This is
+        the only place ``checked`` grows, by one per check."""
+        self.checked += 1
+        if not ok:
+            self.record(describe())
+
     def record(self, message: str):
         self.failure_count += 1
         if len(self.failures) < _MAX_RECORDED_FAILURES:
@@ -94,6 +103,23 @@ class SuiteResult:
         return line
 
 
+def _timed(sweep):
+    """Time a sweep: its result's ``seconds`` covers the whole call."""
+
+    @wraps(sweep)
+    def timed(*args, **kwargs) -> SuiteResult:
+        start = time.perf_counter()
+        result = sweep(*args, **kwargs)
+        result.seconds = time.perf_counter() - start
+        return result
+
+    return timed
+
+
+def _rat(*args) -> GaussianRational:
+    return GaussianRational(Fraction(*args))
+
+
 def _order_multisets(n: int, b_max: int):
     """Sorted pole-order tuples with entries in 1..b_max.
 
@@ -104,31 +130,28 @@ def _order_multisets(n: int, b_max: int):
     return combinations_with_replacement(range(1, b_max + 1), n)
 
 
+@_timed
 def check_general_residue_law(n_max: int = 8, b_max: int = 5) -> SuiteResult:
     """With no vanishing partial sums the count is falling_f(a, n), for
     every labeled order tuple in range."""
     result = SuiteResult(f"general-residue law (n<={n_max}, b<={b_max})")
-    start = time.perf_counter()
-    from itertools import product
-
     for n in range(2, n_max + 1):
         trivial = trivial_structure(n)
         for b in product(range(1, b_max + 1), repeat=n):
             profile = OrderProfile.from_pole_orders(b)
             got = count_closed_form(profile, trivial).total
             want = count_general(profile)
-            result.checked += 1
-            if got != want:
-                result.record(f"b={b}: closed form {got} != falling_f {want}")
-    result.seconds = time.perf_counter() - start
+            result.expect(
+                got == want, lambda: f"b={b}: closed form {got} != falling_f {want}"
+            )
     return result
 
 
+@_timed
 def check_one_vanishing_law(n_max: int = 7, b_max: int = 4) -> SuiteResult:
     """With exactly one vanishing partial sum the count drops by the product
     of the two group counts, for every canonical subset and order tuple."""
     result = SuiteResult(f"one-vanishing law (n<={n_max}, b<={b_max})")
-    start = time.perf_counter()
     for n in range(2, n_max + 1):
         subsets = [m for m in range(1, (1 << n) - 1, 2)]
         structures = {m: structure_from_generators(n, [m]) for m in subsets}
@@ -137,35 +160,29 @@ def check_one_vanishing_law(n_max: int = 7, b_max: int = 4) -> SuiteResult:
             for m in subsets:
                 got = count_closed_form(profile, structures[m]).total
                 want = count_one_vanishing(profile, m)
-                result.checked += 1
-                if got != want:
-                    result.record(
-                        f"b={b}, subset={indices_from_mask(m)}: "
-                        f"closed form {got} != correction formula {want}"
-                    )
-    result.seconds = time.perf_counter() - start
+                result.expect(got == want, lambda: (
+                    f"b={b}, subset={indices_from_mask(m)}: "
+                    f"closed form {got} != correction formula {want}"
+                ))
     return result
 
 
+@_timed
 def check_zero_identity(n_max: int = 7, b_max: int = 5) -> SuiteResult:
     """The alternating sum over all set partitions vanishes identically."""
     result = SuiteResult(f"zero identity (n<={n_max}, b<={b_max})")
-    start = time.perf_counter()
     for n in range(2, n_max + 1):
         for b in _order_multisets(n, b_max):
             value = zero_identity_value(OrderProfile.from_pole_orders(b))
-            result.checked += 1
-            if value != 0:
-                result.record(f"b={b}: alternating sum is {value}, not 0")
-    result.seconds = time.perf_counter() - start
+            result.expect(value == 0, lambda: f"b={b}: alternating sum is {value}, not 0")
     return result
 
 
+@_timed
 def check_two_nonzero_identity(n_max: int = 7, b_max: int = 4) -> SuiteResult:
     """All residues zero but an opposite pair: the count is
     (n-2)! prod (b_k - 1) over the zero-residue poles."""
     result = SuiteResult(f"two-nonzero identity (n<={n_max}, b<={b_max})")
-    start = time.perf_counter()
     for n in range(2, n_max + 1):
         pair_structures = {}
         for i in range(1, n + 1):
@@ -177,21 +194,18 @@ def check_two_nonzero_identity(n_max: int = 7, b_max: int = 4) -> SuiteResult:
             for (i, j), structure in pair_structures.items():
                 got = count_closed_form(profile, structure).total
                 want = count_two_nonzero(profile, i, j)
-                result.checked += 1
-                if got != want:
-                    result.record(
-                        f"b={b}, pair=({i},{j}): closed form {got} != product {want}"
-                    )
-    result.seconds = time.perf_counter() - start
+                result.expect(got == want, lambda: (
+                    f"b={b}, pair=({i},{j}): closed form {got} != product {want}"
+                ))
     return result
 
 
+@_timed
 def check_recursion_equivalence(n_max: int = 6, b_max: int = 4) -> SuiteResult:
     """The boundary recursion reproduces the closed form on every span-closed
     structure, and is independent of the order the generators are peeled.
     The two share only the zero-sum partitions of each structure."""
     result = SuiteResult(f"recursion equivalence (n<={n_max}, b<={b_max})")
-    start = time.perf_counter()
     for n in range(2, n_max + 1):
         structures = all_vanishing_structures(n)
         profiles = [
@@ -201,13 +215,11 @@ def check_recursion_equivalence(n_max: int = 6, b_max: int = 4) -> SuiteResult:
             for profile in profiles:
                 got = count_recursive(profile, structure)
                 want = _count_total(profile, structure)
-                result.checked += 1
-                if got != want:
-                    result.record(
-                        f"b={profile.b}, generators="
-                        f"{[indices_from_mask(g) for g in structure.generators]}: "
-                        f"recursion {got} != closed form {want}"
-                    )
+                result.expect(got == want, lambda: (
+                    f"b={profile.b}, generators="
+                    f"{[indices_from_mask(g) for g in structure.generators]}: "
+                    f"recursion {got} != closed form {want}"
+                ))
         # Generator-order independence for small ranks.
         order_profiles = [
             OrderProfile.from_pole_orders((2,) * n),
@@ -223,30 +235,25 @@ def check_recursion_equivalence(n_max: int = 6, b_max: int = 4) -> SuiteResult:
             for order in permutations(structure.generators):
                 for profile in order_profiles:
                     got = count_recursive(profile, structure, generator_order=order)
-                    result.checked += 1
-                    if got != _count_total(profile, structure):
-                        result.record(
-                            f"b={profile.b}, order="
-                            f"{[indices_from_mask(g) for g in order]}: "
-                            f"recursion {got} != closed form"
-                        )
-    result.seconds = time.perf_counter() - start
+                    result.expect(got == _count_total(profile, structure), lambda: (
+                        f"b={profile.b}, order="
+                        f"{[indices_from_mask(g) for g in order]}: "
+                        f"recursion {got} != closed form"
+                    ))
     return result
 
 
 def _compositions_up_to(n: int, total_max: int):
-    from itertools import product
-
     for b in product(range(1, total_max), repeat=n):
         if sum(b) <= total_max:
             yield b
 
 
+@_timed
 def check_oracle_equivalence(sum_b_max: int = 10, seeds: int = 20) -> SuiteResult:
     """The symbolic elimination count agrees with the closed form for three
     poles, over seeded generic residues and every one-vanishing structure."""
     result = SuiteResult(f"oracle equivalence (sum b<={sum_b_max}, {seeds} seeds)")
-    start = time.perf_counter()
     trivial = trivial_structure(3)
     one_vanishing = [structure_from_generators(3, [m]) for m in (0b001, 0b011, 0b101)]
     for b in _compositions_up_to(3, sum_b_max):
@@ -255,52 +262,43 @@ def check_oracle_equivalence(sum_b_max: int = 10, seeds: int = 20) -> SuiteResul
         for seed in range(seeds):
             residues = realize_residues(trivial, seed)
             got = oracle_count(profile, residues)
-            result.checked += 1
-            if got != want:
-                result.record(
-                    f"b={b}, seed={seed}, rho={[str(v) for v in residues.values]}: "
-                    f"oracle {got} != general count {want}"
-                )
+            result.expect(got == want, lambda: (
+                f"b={b}, seed={seed}, rho={[str(v) for v in residues.values]}: "
+                f"oracle {got} != general count {want}"
+            ))
         for structure in one_vanishing:
             residues = realize_residues(structure, 0)
             want_special = _count_total(profile, structure)
             got = oracle_count(profile, residues)
-            result.checked += 1
-            if got != want_special:
-                result.record(
-                    f"b={b}, rho={[str(v) for v in residues.values]}: "
-                    f"oracle {got} != closed form {want_special}"
-                )
+            result.expect(got == want_special, lambda: (
+                f"b={b}, rho={[str(v) for v in residues.values]}: "
+                f"oracle {got} != closed form {want_special}"
+            ))
 
     # Anchor instances for the profile (2; 1, 1, 2).
     profile = OrderProfile(2, (1, 1, 2))
-
-    def rat(x):
-        return GaussianRational(Fraction(x))
-
     anchors = [
-        (ResidueTuple((rat(2), rat(-1), rat(-1))), 2),
-        (ResidueTuple((rat(1), rat(-1), rat(0))), 1),
+        (ResidueTuple((_rat(2), _rat(-1), _rat(-1))), 2),
+        (ResidueTuple((_rat(1), _rat(-1), _rat(0))), 1),
     ]
     for residues, want in anchors:
         got = oracle_count(profile, residues)
         closed = _count_total(profile, vanishing_subsets(residues))
-        result.checked += 1
-        if got != want or closed != want:
-            result.record(
-                f"anchor rho={[str(v) for v in residues.values]}: oracle {got}, "
-                f"closed {closed}, want {want}"
-            )
-    zero = ResidueTuple((rat(0), rat(0), rat(0)))
-    result.checked += 1
-    if _count_total(profile, vanishing_subsets(zero)) != 0:
-        result.record("zero residue tuple: closed form is not 0")
+        result.expect(got == want == closed, lambda: (
+            f"anchor rho={[str(v) for v in residues.values]}: oracle {got}, "
+            f"closed {closed}, want {want}"
+        ))
+    zero = ResidueTuple((_rat(0), _rat(0), _rat(0)))
+    result.expect(
+        _count_total(profile, vanishing_subsets(zero)) == 0,
+        lambda: "zero residue tuple: closed form is not 0",
+    )
     if oracle_count(profile, zero) != 0:
         result.record("zero residue tuple: oracle is not 0")
-    result.seconds = time.perf_counter() - start
     return result
 
 
+@_timed
 def check_monotonic_vanishing(n_max: int = 6, b_max: int = 4) -> SuiteResult:
     """Monotone decrease of the count along refinement edges and the
     vanishing criterion.
@@ -314,7 +312,6 @@ def check_monotonic_vanishing(n_max: int = 6, b_max: int = 4) -> SuiteResult:
     forced-zero residue.
     """
     result = SuiteResult(f"monotonicity and vanishing (n<={n_max}, b<={b_max})")
-    start = time.perf_counter()
     for n in range(2, n_max + 1):
         structures = all_vanishing_structures(n)
         profiles = [
@@ -329,19 +326,17 @@ def check_monotonic_vanishing(n_max: int = 6, b_max: int = 4) -> SuiteResult:
             for profile in profiles:
                 count = _count_total(profile, structure)
                 all_higher = min(profile.b) >= 2
-                result.checked += 1
-                if parent is not None:
-                    parent_count = _count_total(profile, parent)
-                    if parent_count < count:
-                        result.record(
-                            f"b={profile.b}: refinement increased the count "
-                            f"({parent_count} -> {count})"
-                        )
-                    if all_higher and parent_count == count:
-                        result.record(
-                            f"b={profile.b}: refinement not strict "
-                            f"({parent_count} -> {count}) despite orders >= 2"
-                        )
+                parent_count = None if parent is None else _count_total(profile, parent)
+                # One check; the failures after the first are recorded with it.
+                result.expect(parent is None or parent_count >= count, lambda: (
+                    f"b={profile.b}: refinement increased the count "
+                    f"({parent_count} -> {count})"
+                ))
+                if parent is not None and all_higher and parent_count == count:
+                    result.record(
+                        f"b={profile.b}: refinement not strict "
+                        f"({parent_count} -> {count}) despite orders >= 2"
+                    )
                 if structure.is_identically_zero() or degenerate_simple_poles(
                     profile, structure
                 ):
@@ -367,19 +362,18 @@ def check_monotonic_vanishing(n_max: int = 6, b_max: int = 4) -> SuiteResult:
         structure_from_generators(4, [0b0001, 0b0010, 0b0100]),
     ]
     values = [_count_total(profile, s) for s in chain]
-    result.checked += 1
-    if values != [12, 9, 5, 0]:
-        result.record(f"named chain gave {values}, want [12, 9, 5, 0]")
-    result.seconds = time.perf_counter() - start
+    result.expect(
+        values == [12, 9, 5, 0], lambda: f"named chain gave {values}, want [12, 9, 5, 0]"
+    )
     return result
 
 
+@_timed
 def check_degree_interpolation(n_max: int = 5) -> SuiteResult:
     """The count is an exact polynomial of total degree n - 2 in the pole
     orders: the simplex-lattice fit reproduces every held-out grid point and
     its top homogeneous component is nonzero."""
     result = SuiteResult(f"polynomial degree fits (n<={n_max})")
-    start = time.perf_counter()
     for n in range(3, n_max + 1):
         samples = [trivial_structure(n), structure_from_generators(n, [0b001])]
         if n >= 4:
@@ -389,62 +383,54 @@ def check_degree_interpolation(n_max: int = 5) -> SuiteResult:
         samples.append(structure_from_generators(n, pair_gens))
         b_range = max(n - 1, 2)
         for structure in dict.fromkeys(samples):
-            result.checked += 1
             try:
                 report = check_polynomial_degree(structure, b_range)
             except InterpolationMismatch as exc:
-                result.record(f"n={n}, rank={structure.rank}: {exc}")
+                result.expect(False, lambda: f"n={n}, rank={structure.rank}: {exc}")
                 continue
-            if report.total_degree != n - 2 or not report.top_component_nonzero:
-                result.record(
-                    f"n={n}, rank={structure.rank}: fitted degree "
-                    f"{report.total_degree}, top component nonzero = "
-                    f"{report.top_component_nonzero}"
-                )
-    result.seconds = time.perf_counter() - start
+            fits = report.total_degree == n - 2 and report.top_component_nonzero
+            result.expect(fits, lambda: (
+                f"n={n}, rank={structure.rank}: fitted degree "
+                f"{report.total_degree}, top component nonzero = "
+                f"{report.top_component_nonzero}"
+            ))
     return result
 
 
+@_timed
 def check_multiplier_bridge() -> SuiteResult:
     """Counting polynomial maps by their fixed-point multipliers: generic
     tuples give (n-2)! for n = 3, 4, and the two rejection modes fire."""
     result = SuiteResult("multiplier bridge")
-    start = time.perf_counter()
-
-    def rat(*args):
-        return GaussianRational(Fraction(*args))
-
-    one = rat(1)
+    one = _rat(1)
     for n, want in ((3, 1), (4, 2)):
         for seed in range(_GENERIC_SEEDS):
             residues = realize_residues(trivial_structure(n), seed)
             lams = tuple(one - one / r for r in residues.values)
             got = count_polynomials_with_multipliers(lams)
-            result.checked += 1
-            if got != want:
-                result.record(f"n={n}, seed={seed}: count {got} != {want}")
+            result.expect(got == want, lambda: f"n={n}, seed={seed}: count {got} != {want}")
             back = multipliers_to_residues(lams)
-            result.checked += 1
-            if back.values != residues.values:
-                result.record(f"n={n}, seed={seed}: bridge round trip failed")
+            result.expect(
+                back.values == residues.values,
+                lambda: f"n={n}, seed={seed}: bridge round trip failed",
+            )
 
     # One vanishing pair on four poles: residues (1, -1, 2, -2).
-    lams = (rat(0), rat(2), rat(1, 2), rat(3, 2))
-    result.checked += 1
-    if count_polynomials_with_multipliers(lams) != 1:
-        result.record("zero-sum pair on 4 poles should count 1")
+    lams = (_rat(0), _rat(2), _rat(1, 2), _rat(3, 2))
+    result.expect(
+        count_polynomials_with_multipliers(lams) == 1,
+        lambda: "zero-sum pair on 4 poles should count 1",
+    )
 
-    result.checked += 1
-    try:
-        multipliers_to_residues((rat(1), rat(2), rat(3)))
-        result.record("multiplier 1 was not rejected")
-    except ParabolicMultiplier:
-        pass
-    result.checked += 1
-    try:
-        multipliers_to_residues((rat(-1), rat(-1), rat(3)))
-        result.record("index constraint violation was not rejected")
-    except IndexConstraintViolated:
-        pass
-    result.seconds = time.perf_counter() - start
+    for lams, error, message in (
+        ((_rat(1), _rat(2), _rat(3)), ParabolicMultiplier, "multiplier 1 was not rejected"),
+        ((_rat(-1), _rat(-1), _rat(3)), IndexConstraintViolated,
+         "index constraint violation was not rejected"),
+    ):
+        try:
+            multipliers_to_residues(lams)
+            rejected = False
+        except error:
+            rejected = True
+        result.expect(rejected, lambda: message)
     return result

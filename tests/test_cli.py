@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -8,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from isoresidual import verification
 from isoresidual.cli import main
+
+
+# A number past the interpreter's limit for converting text to int.
+LONG = "1" * 5000
 
 
 def run(capsys, *argv):
@@ -267,6 +272,10 @@ class TestBatch:
             ({"b": [2, 2, 2], "vanishings": "a"}, "bad vanishings: 'a' is not an integer"),
             ({"b": [2, 2, 2], "rho": ["1/0", "-1", "0"]}, "bad rho: zero denominator in '1/0'"),
             ({"b": [2, 2, 2]}, "exactly one of rho or vanishings is required"),
+            ({"b": [2, 2, 2], "vanishings": "1,2,3"},
+             "bad vanishings: subset must be nonempty and proper"),
+            ({"b": [2, 2, 2], "rho": [LONG, "-1", "0"]},
+             f"bad rho: a number has more than {sys.get_int_max_str_digits()} digits"),
         ],
     )
     def test_line_error_names_the_field(self, tmp_path, capsys, bad, message):
@@ -292,6 +301,24 @@ class TestBatch:
         assert code == 1
         message = json.loads(out)["error"]
         assert errors == [(2, "", f"error: {message}\n")] * 2
+
+    def test_deeply_nested_line_does_not_abort(self, tmp_path, capsys):
+        path = tmp_path / "nested.jsonl"
+        good = json.dumps({"b": [2, 2, 2], "vanishings": "1"})
+        path.write_text("[" * 100_000 + "\n" + good + "\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 1 and "Traceback" not in err
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert reports[0] == {"line": 1, "error": "the line nests too deeply to read"}
+        assert reports[1]["line"] == 2 and reports[1]["total"] == "1"
+
+    def test_long_json_integer_is_a_line_error(self, tmp_path, capsys):
+        path = tmp_path / "long.jsonl"
+        path.write_text(f'{{"b": [2, 2, {LONG}], "vanishings": "1"}}\n')
+        code, out, _ = run(capsys, "batch", str(path))
+        limit = sys.get_int_max_str_digits()
+        assert code == 1
+        assert json.loads(out) == {"line": 1, "error": f"a number has more than {limit} digits"}
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "/nonexistent/path.jsonl")
@@ -389,6 +416,21 @@ def test_zero_denominator_is_named(capsys, argv):
     assert "zero denominator in '1/0'" in err and "Fraction(" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "--b", "2,2,2", "--rho", f"{LONG},-1,0"),
+         f"bad rho: a number has more than {sys.get_int_max_str_digits()} digits"),
+        (("multipliers", "--lambdas", f"0,{LONG},3"),
+         f"bad lambdas: a number has more than {sys.get_int_max_str_digits()} digits"),
+        (("count", "--b", "2,2,2", "--vanishings", "1,2,3"),
+         "bad vanishings: subset must be nonempty and proper"),
+    ],
+)
+def test_flag_error_names_the_field(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestMultipliers:
     def test_generic_triple(self, capsys):
         report = run_json(capsys, "multipliers", "--lambdas", "0,1/2,4/3", "--json")
@@ -481,6 +523,48 @@ class TestVerify:
     def test_flag_the_suite_does_not_take_is_rejected(self, capsys, sweep_calls, suite, flag):
         code, _, err = run(capsys, "verify", suite, flag, "3")
         assert code == 2 and flag in err and sweep_calls == []
+
+    # Which bounds each suite's sweeps take, written out here so that the
+    # table the CLI reads from the sweeps' signatures cannot drift unseen.
+    SWEEP_BOUNDS = {
+        "identities": {
+            "check_zero_identity": ("n_max", "b_max"),
+            "check_two_nonzero_identity": ("n_max", "b_max"),
+        },
+        "special-cases": {
+            "check_general_residue_law": ("n_max", "b_max"),
+            "check_one_vanishing_law": ("n_max", "b_max"),
+        },
+        "recursion": {"check_recursion_equivalence": ("n_max", "b_max")},
+        "oracle": {
+            "check_oracle_equivalence": ("sum_b_max", "seeds"),
+            "check_multiplier_bridge": (),
+        },
+        "monotonic": {"check_monotonic_vanishing": ("n_max", "b_max")},
+        "degree": {"check_degree_interpolation": ("n_max",)},
+    }
+
+    @pytest.mark.parametrize("suite", sorted(SWEEP_BOUNDS))
+    @pytest.mark.parametrize("bound", ["n_max", "b_max", "sum_b_max", "seeds"])
+    def test_suite_takes_exactly_its_sweeps_bounds(self, capsys, monkeypatch, suite, bound):
+        calls = []
+        for sweeps in self.SWEEP_BOUNDS.values():
+            for name in sweeps:
+                def fake(_name=name, **kwargs):
+                    calls.append((_name, kwargs))
+                    return verification.SuiteResult(_name, checked=1)
+
+                monkeypatch.setattr(verification, name, fake)
+        flag = "--" + bound.replace("_", "-")
+        code, _, err = run(capsys, "verify", suite, flag, "3")
+        sweeps = self.SWEEP_BOUNDS[suite]
+        if any(bound in bounds for bounds in sweeps.values()):
+            assert code == 0
+            assert calls == [
+                (name, {bound: 3} if bound in bounds else {}) for name, bounds in sweeps.items()
+            ]
+        else:
+            assert code == 2 and f"does not take {flag}" in err and calls == []
 
     @pytest.mark.parametrize(
         "suite, bound", [("recursion", "1"), ("identities", "1"), ("degree", "2")]

@@ -1,12 +1,14 @@
 """Report bytes on a fixed corpus, pinned by SHA-256.
 
-The corpus is the README's `count` examples, one `multipliers` call, three
-`batch` files (the second is one `rho` line at the 16-pole maximum, the
-third dense `vanishings` lines of rank n-3 and n-2), one traced recursion
-and one dense `count --json` whose partition listing runs to Bell-number
-length.  A change that is meant to keep reports byte-identical
-must pass unchanged; a change that alters a report updates its digest and
-says which fields changed and why.
+The corpus is the README's `count` examples, three `oracle` calls, two
+`multipliers` calls (one with both cross-checks), three `batch` files (the
+second is one `rho` line at the 16-pole maximum, the third dense
+`vanishings` lines of rank n-3 and n-2), one traced recursion and one
+dense `count --json` whose partition listing runs to Bell-number length.
+A change that is meant to keep reports byte-identical must pass unchanged;
+a change that alters a report updates its digest and says which fields
+changed and why.  The `multipliers` call past three poles with `--oracle`
+is an error, pinned by its exit code and its bytes on stderr.
 """
 
 import hashlib
@@ -114,6 +116,26 @@ CORPUS = [
         "acdc69bd5e530107d6829bb75200607d8641c37257eb52fb8f8b09e06308f6ed",
         id="count-all-but-two-zero-json",
     ),
+    pytest.param(
+        ("oracle", "--mu", "2,1,1,2", "--rho", "2,-1,-1"),
+        "cbccb4c1c90850902c0aa38faa608c4da8c3356484bba7ff3813ac820dbc417c",
+        id="oracle-generic",
+    ),
+    pytest.param(
+        ("oracle", "--mu", "2,1,1,2", "--rho", "2,-1,-1", "--json"),
+        "0a868484397df2da2068a34e922001afc11787d2957f10279756e382e5e7a759",
+        id="oracle-generic-json",
+    ),
+    pytest.param(
+        ("oracle", "--b", "2,2,2", "--vanishings", "1;2", "--json"),
+        "7a57dec8bf7e55635dc5cbf965d4ee9540c83542036aa9199b0aa8614aa4c2e8",
+        id="oracle-zero-tuple-json",
+    ),
+    pytest.param(
+        ("multipliers", "--lambdas", "0,1/2,4/3", "--recursive", "--oracle"),
+        "598967c6ddaba8a6548ec27b4c923ab7c8fa363260246635a44e355db382a632",
+        id="multipliers-cross-checks",
+    ),
 ]
 
 
@@ -129,3 +151,12 @@ def test_report_bytes(tmp_path, capsys, argv, digest):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_multipliers_oracle_past_three_poles(capsys):
+    # Four multipliers make four poles, one more than the oracle handles.
+    argv = ["multipliers", "--lambdas", "0,2,1/2,3/2", "--recursive", "--oracle"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the elimination oracle handles at most three poles\n"
