@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import verification
 from .counting import count_closed_form, degenerate_simple_poles
@@ -20,7 +22,7 @@ from .errors import IsoresidualError, ParseError
 from .exactarith import GaussianRational, parse_gaussian_rational
 from .levelgraph import count_recursive
 from .oracle import multipliers_to_residues, oracle_count
-from .partitions import enumerate_partitions, zero_sum_plan
+from .partitions import _CACHED_STRUCTURES, zero_sum_plan
 from .profiles import (
     OrderProfile,
     ResidueTuple,
@@ -39,9 +41,13 @@ EXIT_INVALID = 2
 EXIT_MISMATCH = 3
 
 
-# A report is a tree built here: its index lists are shared, but nothing
-# holds itself, so the encoder skips its cycle check.
+# A report is a tree built here: nothing holds itself, so the encoder skips
+# its cycle check.
 _report_json = json.JSONEncoder(check_circular=False).encode
+
+# A term's partitions before its listing text is spliced in.  Every report
+# field is parsed and printed again, so none is this string.
+_SLOT = "\0"
 
 
 class _Invalid(Exception):
@@ -72,6 +78,11 @@ class _Request:
             raise _Invalid("the elimination oracle handles at most three poles")
 
 
+# What int() reads in base 10; it refuses such text only past the digit
+# limit.  Compiled on first use, which only a refused part reaches.
+_NUMERAL = r"\s*[+-]?\d+(?:_\d+)*\s*"
+
+
 def _ints(text: str, key: str) -> list[int]:
     """Comma-separated integers, as in ``--b`` or a ``vanishings`` subset."""
     values = []
@@ -79,6 +90,8 @@ def _ints(text: str, key: str) -> list[int]:
         try:
             values.append(int(part))
         except ValueError:
+            if re.fullmatch(_NUMERAL, part):
+                raise _Invalid(f"bad {key}: {_too_long()}") from None
             raise _Invalid(f"bad {key}: {part.strip()!r} is not an integer") from None
     return values
 
@@ -230,23 +243,48 @@ def _build_report(request: _Request, *, trace=False):
     return report, mismatch
 
 
-def _list_partitions(report: dict, structure) -> dict:
-    """Add each term's zero-sum partitions, which only JSON output prints."""
-    partitions = enumerate_partitions(structure)
-    # One index list per distinct part, shared by every partition holding it.
-    names = {
-        part: list(indices_from_mask(part)) for part in zero_sum_plan(structure).parts
+@lru_cache(maxsize=_CACHED_STRUCTURES)
+def _listing_text(structure: VanishingStructure) -> dict[int, str]:
+    """Each term's ``partitions`` as JSON text, by part count s: the bytes
+    ``_report_json`` gives the sorted listing, built from the plan's moves.
+
+    A remaining set's tails into c parts are kept as one string, each tail
+    written ", [part], [part]" and tails joined by a newline, which no part
+    text holds; prefixing a part to every tail is then one ``replace``.
+    """
+    plan = zero_sum_plan(structure)
+    names = {part: ", " + _report_json(list(indices_from_mask(part))) for part in plan.parts}
+    tails: dict[int, dict[int, str]] = {0: {0: ""}}
+    for remaining, out in plan.moves.items():
+        by_count: dict[int, list[str]] = {}
+        for part, rest in out:  # in increasing order of the part
+            head = names[part]
+            for count, text in tails[rest].items():
+                by_count.setdefault(count + 1, []).append(
+                    head + text.replace("\n", "\n" + head)
+                )
+        tails[remaining] = {c: "\n".join(texts) for c, texts in by_count.items()}
+    return {  # the whole pole set comes last
+        s: "[[" + text[2:].replace("\n, ", "], [") + "]]"
+        for s, text in tails[remaining].items()
     }
+
+
+def _report_text(report: dict, structure) -> str:
+    """The JSON report with each term's partitions, which only JSON prints."""
     for term in report["terms"]:
-        term["partitions"] = [
-            list(map(names.__getitem__, partition)) for partition in partitions[term["s"]]
-        ]
-    return report
+        term["partitions"] = _SLOT
+    rest = _report_json(report).split(_report_json(_SLOT))
+    listing = _listing_text(structure)
+    pieces = [rest[0]]
+    for term, after in zip(report["terms"], rest[1:]):
+        pieces += (listing[term["s"]], after)
+    return "".join(pieces)
 
 
 def _emit(report: dict, structure, as_json: bool):
     if as_json:
-        print(_report_json(_list_partitions(report, structure)))
+        print(_report_text(report, structure))
         return
     print(f"profile: a = {report['a']}, b = ({', '.join(report['b'])})")
     if "lambdas" in report["input"]:
@@ -315,7 +353,7 @@ def _cmd_batch(args) -> int:
                 print(json.dumps({"line": line_no, "error": str(exc)}))
                 continue
             any_mismatch = any_mismatch or mismatch
-            print(_report_json({**_list_partitions(report, request.structure), "line": line_no}))
+            print(_report_text({**report, "line": line_no}, request.structure))
     if any_failed:
         return EXIT_FAILED
     return EXIT_MISMATCH if any_mismatch else EXIT_OK
@@ -323,7 +361,12 @@ def _cmd_batch(args) -> int:
 
 def _cmd_multipliers(args) -> int:
     lams = _gaussians(args.lambdas.split(","), "lambdas")
-    rho = [str(v) for v in multipliers_to_residues(lams).values]
+    try:
+        rho = [str(v) for v in multipliers_to_residues(lams).values]
+    except IsoresidualError:
+        raise
+    except ValueError:  # str() refuses a number this long, here or in a message
+        raise _Invalid(f"bad lambdas: {_too_long()}") from None
     request = _parse_request({**_request_fields(args), "b": [1] * len(rho), "rho": rho})
     report, mismatch = _build_report(request)
     report["input"]["lambdas"] = [str(v) for v in lams]

@@ -13,6 +13,11 @@ from isoresidual.cli import main
 
 # A number past the interpreter's limit for converting text to int.
 LONG = "1" * 5000
+TOO_LONG = f"a number has more than {sys.get_int_max_str_digits()} digits"
+
+# Multipliers of 2200 digits whose residues 1/(1 - lambda), or their sum,
+# have parts of about 4400 digits.
+THREES, SEVENS = "3" * 2200, "7" * 2200
 
 
 def run(capsys, *argv):
@@ -56,7 +61,8 @@ class TestCount:
         def refuse(*args):
             raise AssertionError("the text report listed partitions")
 
-        monkeypatch.setattr("isoresidual.cli.enumerate_partitions", refuse)
+        monkeypatch.setattr("isoresidual.cli._listing_text", refuse)
+        monkeypatch.setattr("isoresidual.partitions.enumerate_partitions", refuse)
         monkeypatch.setattr("isoresidual.partitions._partitions_by_size", refuse)
         code, out, _ = run(
             capsys, "count", "--b", "2,2,2,2,2,2,2,2,2,2,1,1",
@@ -252,7 +258,8 @@ class TestBatch:
             raise AssertionError("the closed form ran")
 
         monkeypatch.setattr("isoresidual.cli.count_closed_form", refuse)
-        monkeypatch.setattr("isoresidual.cli.enumerate_partitions", refuse)
+        monkeypatch.setattr("isoresidual.cli._listing_text", refuse)
+        monkeypatch.setattr("isoresidual.partitions.enumerate_partitions", refuse)
         path = tmp_path / "oracle.jsonl"
         line = {"b": [2] * 8 + [1, 1], "vanishings": "1;2;3;4;5;6;7;8", "oracle": True}
         path.write_text(json.dumps(line) + "\n")
@@ -276,6 +283,7 @@ class TestBatch:
              "bad vanishings: subset must be nonempty and proper"),
             ({"b": [2, 2, 2], "rho": [LONG, "-1", "0"]},
              f"bad rho: a number has more than {sys.get_int_max_str_digits()} digits"),
+            ({"b": [2, 2, 2], "vanishings": f"1,{LONG}"}, f"bad vanishings: {TOO_LONG}"),
         ],
     )
     def test_line_error_names_the_field(self, tmp_path, capsys, bad, message):
@@ -425,6 +433,16 @@ def test_zero_denominator_is_named(capsys, argv):
          f"bad lambdas: a number has more than {sys.get_int_max_str_digits()} digits"),
         (("count", "--b", "2,2,2", "--vanishings", "1,2,3"),
          "bad vanishings: subset must be nonempty and proper"),
+        (("count", "--b", f"2,2,{LONG}", "--vanishings", ""), f"bad b: {TOO_LONG}"),
+        (("count", "--mu", f"{LONG},2,2"), f"bad mu: {TOO_LONG}"),
+        (("count", "--b", "2,2,2", "--vanishings", f"1,{LONG}"),
+         f"bad vanishings: {TOO_LONG}"),
+        # str() of a residue past the limit
+        (("multipliers",
+          f"--lambdas={THREES}+{SEVENS}i,-{int(THREES) - 2}-{SEVENS}i,0,2"),
+         f"bad lambdas: {TOO_LONG}"),
+        # the index constraint's message, which prints the residue sum
+        (("multipliers", f"--lambdas={THREES},{SEVENS},0"), f"bad lambdas: {TOO_LONG}"),
     ],
 )
 def test_flag_error_names_the_field(capsys, argv, message):

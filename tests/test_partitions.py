@@ -1,8 +1,11 @@
+import random
 from functools import lru_cache
 
 import pytest
 
+from isoresidual.cli import _listing_text, _report_json
 from isoresidual.partitions import (
+    _CACHED_STRUCTURES,
     _partitions_by_size,
     enumerate_partitions,
     iter_set_partitions,
@@ -13,6 +16,7 @@ from isoresidual.profiles import (
     canonical_mask,
     full_mask,
     identically_zero_structure,
+    indices_from_mask,
     realize_residues,
     structure_from_generators,
     trivial_structure,
@@ -133,3 +137,45 @@ class TestEnumeratePartitions:
         for cached in (zero_sum_plan, _partitions_by_size):
             assert cached.cache_info().maxsize is not None
             assert cached.cache_info().maxsize >= 64
+
+
+def dense_structures():
+    """Seeded structures at n = 6..9, each spanned by n-3 or n-2 random
+    singletons and pairs, as in a dense batch."""
+    rng = random.Random(11)
+    for n in range(6, 10):
+        for rank in (n - 3, n - 2):
+            subsets = [rng.sample(range(n), rng.choice((1, 2))) for _ in range(rank)]
+            yield structure_from_generators(n, [sum(1 << i for i in s) for s in subsets])
+
+
+class TestListingText:
+    """The report's listing text, built from the plan, against the JSON of
+    the tuple listing."""
+
+    @staticmethod
+    def assert_listing_text(structure):
+        text = _listing_text(structure)
+        listing = enumerate_partitions(structure)
+        assert sorted(text) == sorted(listing)
+        for s, partitions in listing.items():
+            assert text[s] == _report_json(
+                [[list(indices_from_mask(p)) for p in partition] for partition in partitions]
+            )
+
+    def test_every_structure_to_five_poles(self):
+        for n in range(2, 6):
+            for structure in all_vanishing_structures(n):
+                self.assert_listing_text(structure)
+
+    def test_dense_structures(self):
+        structures = list(dense_structures())
+        assert {structure.n for structure in structures} == {6, 7, 8, 9}
+        for structure in structures:
+            self.assert_listing_text(structure)
+
+    def test_identically_zero_seven_poles(self):
+        self.assert_listing_text(identically_zero_structure(7))
+
+    def test_cache_is_bounded(self):
+        assert _listing_text.cache_info().maxsize == _CACHED_STRUCTURES

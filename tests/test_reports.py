@@ -1,9 +1,10 @@
 """Report bytes on a fixed corpus, pinned by SHA-256.
 
 The corpus is the README's `count` examples, three `oracle` calls, two
-`multipliers` calls (one with both cross-checks), three `batch` files (the
+`multipliers` calls (one with both cross-checks), four `batch` files (the
 second is one `rho` line at the 16-pole maximum, the third dense
-`vanishings` lines of rank n-3 and n-2), one traced recursion and one
+`vanishings` lines of rank n-3 and n-2, the fourth one structure on every
+line, so its listing is reused), one traced recursion and one
 dense `count --json` whose partition listing runs to Bell-number length.
 A change that is meant to keep reports byte-identical must pass unchanged;
 a change that alters a report updates its digest and says which fields
@@ -62,6 +63,16 @@ DENSE_LINES = [
     {"b": [3, 2, 2, 1, 2, 1, 1], "vanishings": "1;2;3;4,5;4,6"},
     {"b": [2, 3, 1, 2, 1, 2, 1, 1], "vanishings": "1;2;3,4;5,6;7,8;3,5"},
     {"b": [2, 1, 2, 2, 3, 2, 2, 2], "vanishings": "1;3;4;2,5;6,7;6,8"},
+]
+
+# One structure at n = 7 on every line (pole 7 is forced to zero residue
+# and has order >= 2): three pole-order profiles, then the same generators
+# in another order, which must give the same listing.
+SHARED_LINES = [
+    {"b": [2, 1, 1, 2, 1, 3, 2], "vanishings": "1,2;3,4;5,6"},
+    {"b": [1, 2, 2, 1, 3, 1, 3], "vanishings": "1,2;3,4;5,6"},
+    {"mu": [10, 3, 1, 1, 2, 2, 1, 2], "vanishings": "1,2;3,4;5,6"},
+    {"b": [2, 1, 1, 2, 1, 3, 2], "vanishings": "5,6;3,4;1,2"},
 ]
 
 CORPUS = [
@@ -135,6 +146,11 @@ CORPUS = [
         ("multipliers", "--lambdas", "0,1/2,4/3", "--recursive", "--oracle"),
         "598967c6ddaba8a6548ec27b4c923ab7c8fa363260246635a44e355db382a632",
         id="multipliers-cross-checks",
+    ),
+    pytest.param(
+        ("batch", SHARED_LINES),
+        "1fa49872ee87b87d7b281fd8a483fab71cb11057599ca93e660773ee5956e5f8",
+        id="batch-shared-structure",
     ),
 ]
 
