@@ -332,20 +332,32 @@ def _load(line: str):
         raise _Invalid(_too_long()) from None
 
 
+def _decoded(raw: bytes) -> str:
+    """A batch line's text, stripped; bytes that are not UTF-8 are a typed
+    error for that line alone."""
+    try:
+        return raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        raise _Invalid("the line is not valid UTF-8") from None
+
+
 def _cmd_batch(args) -> int:
     any_failed = False
     any_mismatch = False
     try:
-        stream = open(args.path, encoding="utf-8")
+        stream = open(args.path, "rb")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     with stream:
-        for line_no, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        # Each line is decoded on its own; splitlines() ends lines at \n, \r
+        # and \r\n, as a text file does.
+        lines = (line for chunk in stream for line in chunk.splitlines())
+        for line_no, raw in enumerate(lines, start=1):
             try:
+                line = _decoded(raw)
+                if not line:
+                    continue
                 request = _parse_request(_load(line))
                 report, mismatch = _build_report(request)
             except _ERRORS as exc:

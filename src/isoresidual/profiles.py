@@ -214,15 +214,29 @@ def identically_zero_structure(n: int) -> VanishingStructure:
 def _zero_sum_closure(packed: list[int]) -> frozenset[Mask]:
     """Canonical masks whose subset sum of ``packed`` is zero.
 
-    The table is built by doubling from pole 1's value, so entry k is the
-    sum over the canonical mask 2k + 1; the last entry is the full set,
-    which always sums to zero and is no proper subset.
+    Meet in the middle: the low poles (pole 1 and the next n//2) list their
+    sums by doubling from pole 1, so low entry k is the canonical mask
+    2k + 1; the high poles' sums, listed the same way from the empty set,
+    index their masks k << low already shifted into place.  A low sum s meets
+    every high mask whose sum is -s.  That costs 2^(n//2) + 2^((n-1)//2)
+    sums plus one step per mask found, not 2^(n-1); the full set always
+    sums to zero and is no proper subset, so it is dropped.
     """
+    low = len(packed) // 2 + 1
     sums = packed[:1]
-    for x in packed[1:]:
+    for x in packed[1:low]:
         sums += [s + x for s in sums]
-    sums.pop()
-    return frozenset(2 * k + 1 for k, s in enumerate(sums) if not s)
+    high_sums = [0]
+    for x in packed[low:]:
+        high_sums += [s + x for s in high_sums]
+    index: dict[int, list[Mask]] = {}
+    for k, s in enumerate(high_sums):
+        index.setdefault(-s, []).append(k << low)
+    found = {
+        2 * k + 1 | m for k, s in enumerate(sums) for m in index.get(s, ())
+    }
+    found.discard(full_mask(len(packed)))
+    return frozenset(found)
 
 
 def _packed(values: tuple[GaussianRational, ...]) -> list[int]:
@@ -237,7 +251,8 @@ def _packed(values: tuple[GaussianRational, ...]) -> list[int]:
 def vanishing_subsets(residues: ResidueTuple) -> VanishingStructure:
     """Exact vanishing structure of a residue tuple.
 
-    The closure is found by integer summation over every subset; the
+    The closure is found by exact integer subset sums met in the middle,
+    about 2^ceil(n/2) sums plus one step per vanishing subset; the
     generators are the greedy independent subfamily in canonical order.
     """
     n = residues.n

@@ -320,6 +320,24 @@ class TestBatch:
         assert reports[0] == {"line": 1, "error": "the line nests too deeply to read"}
         assert reports[1]["line"] == 2 and reports[1]["total"] == "1"
 
+    def test_undecodable_line_does_not_abort(self, tmp_path, capsys):
+        path = tmp_path / "bytes.jsonl"
+        good = json.dumps({"b": [2, 2, 2], "vanishings": "1"}).encode()
+        path.write_bytes(good + b'\n{"b": [2, 2, 2], "rho": ["\xff"]}\n' + good + b"\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 1 and err == ""
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert reports[1] == {"line": 2, "error": "the line is not valid UTF-8"}
+        assert [(r["line"], r["total"]) for r in (reports[0], reports[2])] == [(1, "1"), (3, "1")]
+
+    def test_lines_end_as_in_a_text_file(self, tmp_path, capsys):
+        path = tmp_path / "endings.jsonl"
+        good = json.dumps({"b": [2, 2, 2], "vanishings": "1"})
+        path.write_bytes(f"{good}\r{good}\r\n\n\u00a0\n{good}".encode())
+        code, out, _ = run(capsys, "batch", str(path))
+        assert code == 0
+        assert [json.loads(line)["line"] for line in out.splitlines()] == [1, 2, 5]
+
     def test_long_json_integer_is_a_line_error(self, tmp_path, capsys):
         path = tmp_path / "long.jsonl"
         path.write_text(f'{{"b": [2, 2, {LONG}], "vanishings": "1"}}\n')

@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from isoresidual.cli import _listing_text, _report_json
+from isoresidual.exactarith import GaussianRational
 from isoresidual.partitions import (
     _CACHED_STRUCTURES,
     _partitions_by_size,
@@ -12,6 +13,7 @@ from isoresidual.partitions import (
     zero_sum_plan,
 )
 from isoresidual.profiles import (
+    ResidueTuple,
     all_vanishing_structures,
     canonical_mask,
     full_mask,
@@ -20,6 +22,7 @@ from isoresidual.profiles import (
     realize_residues,
     structure_from_generators,
     trivial_structure,
+    vanishing_subsets,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -179,3 +182,93 @@ class TestListingText:
 
     def test_cache_is_bounded(self):
         assert _listing_text.cache_info().maxsize == _CACHED_STRUCTURES
+
+
+def reference_plan(structure):
+    """The plan's moves, parts and counts by the plain walk over every
+    submask that holds the lowest remaining pole, counting partitions by a
+    memoized recursion of its own."""
+    full = full_mask(structure.n)
+    qualifying = {full} | structure.closure | {m ^ full for m in structure.closure}
+    moves = {}
+    stack = [full]
+    while stack:
+        remaining = stack.pop()
+        if not remaining or remaining in moves:
+            continue
+        pivot = remaining & -remaining
+        rest = remaining ^ pivot
+        found = []
+        sub = rest
+        while True:
+            if pivot | sub in qualifying:
+                found.append(pivot | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        moves[remaining] = tuple((part, remaining ^ part) for part in sorted(found))
+        stack.extend(remaining ^ part for part in found)
+    moves = dict(sorted(moves.items()))
+
+    @lru_cache(maxsize=None)
+    def by_parts(remaining):
+        if not remaining:
+            return {0: 1}
+        counts = {}
+        for _, rest in moves[remaining]:
+            for s, c in by_parts(rest).items():
+                counts[s + 1] = counts.get(s + 1, 0) + c
+        return counts
+
+    parts = tuple(sorted({part for out in moves.values() for part, _ in out}))
+    return moves, parts, tuple(sorted(by_parts(full).items()))
+
+
+def sparse_rho_structures():
+    """Vanishing structures of seeded integer residues at n = 12..16, in one
+    to five zero-sum groups over shuffled poles."""
+    rng = random.Random(12)
+    for n in range(12, 17):
+        for groups in range(1, 6):
+            poles = rng.sample(range(n), n)
+            cuts = sorted(rng.sample(range(1, n), groups - 1))
+            values = [0] * n
+            for start, stop in zip([0] + cuts, cuts + [n]):
+                xs = [rng.randint(-10**6, 10**6) for _ in range(stop - start - 1)]
+                for pole, x in zip(poles[start:stop], xs + [-sum(xs)]):
+                    values[pole] = x
+            yield vanishing_subsets(
+                ResidueTuple(tuple(GaussianRational(x) for x in values))
+            )
+
+
+class TestZeroSumPlan:
+    """The plan, whichever source each set's moves come from, against the
+    plain walk."""
+
+    @staticmethod
+    def assert_plan(structure):
+        plan = zero_sum_plan(structure)
+        moves, parts, counts = reference_plan(structure)
+        assert list(plan.moves.items()) == list(moves.items())
+        assert plan.parts == parts
+        assert plan.counts == counts
+
+    def test_every_structure_to_five_poles(self):
+        for n in range(2, 6):
+            for structure in all_vanishing_structures(n):
+                self.assert_plan(structure)
+
+    def test_dense_structures(self):
+        for structure in dense_structures():
+            self.assert_plan(structure)
+
+    def test_identically_zero_eight_poles(self):
+        self.assert_plan(identically_zero_structure(8))
+
+    def test_sparse_rho_tuples_to_max_poles(self):
+        structures = list(sparse_rho_structures())
+        assert {structure.n for structure in structures} == set(range(12, 17))
+        assert {structure.rank for structure in structures} == set(range(5))
+        for structure in structures:
+            self.assert_plan(structure)

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isoresidual.exactarith import GaussianRational
 from isoresidual.profiles import (
     MAX_POLES,
     OrderProfile,
+    _zero_sum_closure,
     ResidueTuple,
     all_vanishing_structures,
     canonical_mask,
@@ -291,3 +292,48 @@ def test_vanishing_subsets_matches_direct_scan(rho):
         m for m in range(1, full_mask(rho.n), 2) if rho.subset_sum(m) == gr(0)
     )
     assert vanishing_subsets(rho).closure == expected
+
+
+@st.composite
+def grouped_integers(draw):
+    """Small integers on n = 2..16 poles, laid in groups over a shuffled pole
+    order so that groups straddle the split between low and high poles; a
+    group sums to zero or not, small values add chance zero sums, and the
+    last pole of the order balances the total."""
+    n = draw(st.integers(2, MAX_POLES))
+    order = draw(st.permutations(range(n)))
+    values = [0] * n
+    start = 0
+    while start < n - 1:
+        size = draw(st.integers(1, n - 1 - start))
+        group = [draw(st.integers(-3, 3)) for _ in range(size)]
+        if draw(st.booleans()):
+            group[-1] -= sum(group)
+        for pole, x in zip(order[start:start + size], group):
+            values[pole] = x
+        start += size
+    values[order[-1]] = -sum(values)
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_integers())
+@example([0] * MAX_POLES)
+@example([0, 0])
+@example([1, -1])
+@example([1, 2, 3, -3, -1, -2])  # {1,5} and {2,6} cross the split at n = 6
+@example([2, 1, 5, 3, -2, -1, -8])  # and at odd n = 7
+def test_zero_sum_closure_matches_brute_force(values):
+    n = len(values)
+    expected = frozenset(
+        m
+        for m in range(1, full_mask(n), 2)
+        if sum(x for i, x in enumerate(values) if m >> i & 1) == 0
+    )
+    assert _zero_sum_closure(values) == expected
+
+
+def test_zero_sum_closure_of_the_zero_tuple_at_max_poles():
+    closure = _zero_sum_closure([0] * MAX_POLES)
+    assert len(closure) == 2 ** (MAX_POLES - 1) - 1
+    assert closure == frozenset(range(1, full_mask(MAX_POLES), 2))
