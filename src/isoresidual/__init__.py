@@ -39,6 +39,7 @@ from .oracle import (
 )
 from .partitions import enumerate_partitions, iter_set_partitions
 from .profiles import (
+    MAX_ENUMERATED_POLES,
     MAX_POLES,
     OrderProfile,
     ResidueTuple,
@@ -63,6 +64,7 @@ __all__ = [
     "DegreeFitReport",
     "GaussianRational",
     "InducedStructures",
+    "MAX_ENUMERATED_POLES",
     "MAX_POLES",
     "OrderProfile",
     "Poly",

@@ -7,8 +7,9 @@ alternating sum over partitions of the pole set into s zero-sum parts
 
 where b_J is the total pole order of a part.  The s = 1 term carries the
 rational factor 1/(a+1) but always collapses to the integer falling_f(a, n);
-the whole sum is evaluated in exact rational arithmetic, and a total that is
-not a nonnegative integer raises NonIntegralResult or NegativeResult.
+the total is summed in ints as (a+1) N and divided once, the per-s terms of
+a breakdown are exact Fractions, and a total that is not a nonnegative
+integer raises NonIntegralResult or NegativeResult.
 
 The inner sums are not taken partition by partition.  Each partition is
 built by removing the zero-sum part that holds the lowest remaining pole, so
@@ -36,6 +37,7 @@ from .profiles import (
     identically_zero_structure,
     is_refinement,
     mask_from_indices,
+    pole_indices,
 )
 
 __all__ = [
@@ -68,17 +70,21 @@ def _check_match(profile: OrderProfile, structure: VanishingStructure):
         )
 
 
-def _formula_terms(profile: OrderProfile, structure: VanishingStructure):
+def _weighted_sums(profile: OrderProfile, plan) -> list[int]:
+    """Entry s: the inner sum over the partitions into s zero-sum parts.
+    Each part's weight reads the pole orders at its cached pole indices."""
+    b = profile.b
+    weight = {}
+    for part in plan.parts:
+        poles = pole_indices(part)
+        weight[part] = falling_f(sum(map(b.__getitem__, poles)) - 1, len(poles) + 1)
+    return sums_by_part_count(plan.moves, weight)
+
+
+def _formula_terms(a: int, counts, inner) -> list[tuple[int, Fraction, int]]:
     """Per-s terms of the alternating sum, as exact Fractions."""
-    a = profile.a
-    plan = zero_sum_plan(structure)
-    weight = {
-        part: falling_f(profile.order_sum(part) - 1, part.bit_count() + 1)
-        for part in plan.parts
-    }
-    inner = sums_by_part_count(plan.moves, weight)
     terms = []
-    for s, size in plan.counts:
+    for s, size in counts:
         if s == 1:
             value = Fraction(inner[s], a + 1)
         else:
@@ -87,27 +93,48 @@ def _formula_terms(profile: OrderProfile, structure: VanishingStructure):
     return terms
 
 
+def _integer_total(a: int, inner) -> int:
+    """The alternating sum in ints: Horner in -(a+1) gives
+
+        (a+1) N = inner[1] + sum_{s>=2} (-1)^(s-1) (a+1)^(s-1) inner[s],
+
+    and one divmod gives N.  Raises NonIntegralResult or NegativeResult if
+    N fails to be a nonnegative integer; both would indicate an internal
+    bug."""
+    scaled = 0
+    for value in reversed(inner[1:]):
+        scaled = scaled * -(a + 1) + value
+    total, remainder = divmod(scaled, a + 1)
+    if remainder:
+        raise NonIntegralResult(f"count {Fraction(scaled, a + 1)} is not an integer")
+    if total < 0:
+        raise NegativeResult(f"count {total} is negative")
+    return total
+
+
 def count_closed_form(profile: OrderProfile, structure: VanishingStructure) -> CountBreakdown:
     """Exact count of differentials of the given profile whose residue tuple
-    has exactly this vanishing structure.
+    has exactly this vanishing structure, with the exact term of each part
+    count s.
 
     Raises NonIntegralResult or NegativeResult if the alternating sum fails
     to be a nonnegative integer; both would indicate an internal bug.
     """
     _check_match(profile, structure)
-    terms = _formula_terms(profile, structure)
-    total = sum(value for _, value, _ in terms)
-    if total.denominator != 1:
-        raise NonIntegralResult(f"count {total} is not an integer")
-    if total < 0:
-        raise NegativeResult(f"count {total} is negative")
-    return CountBreakdown(int(total), tuple(terms), max(s for s, _, _ in terms))
+    plan = zero_sum_plan(structure)
+    inner = _weighted_sums(profile, plan)
+    terms = _formula_terms(profile.a, plan.counts, inner)
+    return CountBreakdown(
+        _integer_total(profile.a, inner), tuple(terms), max(s for s, _, _ in terms)
+    )
 
 
 @lru_cache(maxsize=1 << 17)
 def _count_total(profile: OrderProfile, structure: VanishingStructure) -> int:
-    """Memoized total, for the recursion and the verification sweeps."""
-    return count_closed_form(profile, structure).total
+    """Memoized total, for the recursion and the verification sweeps; it
+    builds no per-s Fractions."""
+    _check_match(profile, structure)
+    return _integer_total(profile.a, _weighted_sums(profile, zero_sum_plan(structure)))
 
 
 def count_general(profile: OrderProfile) -> int:
@@ -159,7 +186,8 @@ def zero_identity_value(profile: OrderProfile) -> Fraction:
     differential) and the cancellation is a nontrivial identity worth
     checking, so the raw rational value is returned unasserted.
     """
-    terms = _formula_terms(profile, identically_zero_structure(profile.n))
+    plan = zero_sum_plan(identically_zero_structure(profile.n))
+    terms = _formula_terms(profile.a, plan.counts, _weighted_sums(profile, plan))
     return sum(value for _, value, _ in terms)
 
 

@@ -12,12 +12,20 @@ The graphs are the rigid strata of the step, read off the zero-sum
 partitions of V_k, and the counts on the right are recursive counts down to
 falling_f(a, n).  The final value must agree with the closed form, with
 which the recursion shares only the zero-sum partitions.
+
+None of this depends on the pole orders, so it is worked out once per
+generator sequence: ``_program`` compiles each level's strata, their blocks
+as 0-based pole-index tuples with the bottom and top structures they
+induce.  A profile then runs one loop over the program that only reads its
+orders at those indices, sums them and looks up memoized sub-counts; the
+same loop fills the trace when one is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from ._linalg import kernel_contains, kernel_reduce, mask_dot
 from .counting import count_general
@@ -29,6 +37,7 @@ from .profiles import (
     canonical_mask,
     full_mask,
     indices_from_mask,
+    pole_indices,
     structure_from_generators,
     structure_kernel,
     trivial_structure,
@@ -167,16 +176,39 @@ def induced_structures(graph: TwoLevelGraph, previous: VanishingStructure) -> In
     return InducedStructures(tops, _inherited(graph.blocks, base), len(base) - len(top_kernel))
 
 
+class _Stratum(NamedTuple):
+    """A rigid stratum as the per-profile loop reads it."""
+
+    blocks: tuple[tuple[int, ...], ...]  # 0-based pole indices per component
+    induced: InducedStructures
+    graph: TwoLevelGraph  # read only by the trace
+
+
+class _Level(NamedTuple):
+    generator: tuple[int, ...]  # the condition imposed, as 1-based poles
+    strata: tuple[_Stratum, ...]
+
+
 @lru_cache(maxsize=None)
-def _level(previous: VanishingStructure, new_subset: Mask):
-    """One recursion step: the structure it reaches, and the strata it sums
-    over, each boundary graph with the structures it induces; built once and
-    shared by every order profile."""
-    current = structure_from_generators(previous.n, previous.generators + (new_subset,))
-    return current, tuple(
-        (graph, induced_structures(graph, previous))
-        for graph in boundary_graphs(previous, new_subset)
-    )
+def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, tuple[_Level, ...]]:
+    """The recursion for one generator sequence, worked out once and shared
+    by every order profile: the structure the sequence reaches, and each
+    level's strata with the structures they induce.  A dependent generator
+    raises ValueError."""
+    previous = trivial_structure(n)
+    levels = []
+    for new_subset in generators:
+        strata = tuple(
+            _Stratum(
+                tuple(map(pole_indices, graph.blocks)),
+                induced_structures(graph, previous),
+                graph,
+            )
+            for graph in boundary_graphs(previous, new_subset)
+        )
+        levels.append(_Level(indices_from_mask(new_subset), strata))
+        previous = structure_from_generators(n, previous.generators + (new_subset,))
+    return previous, tuple(levels)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -214,47 +246,47 @@ def count_recursive(
         # The zero residue tuple admits no differential.
         return 0
     if generator_order is None:
-        generators = structure.generators
+        reached, levels = _program(n, structure.generators)
     else:
         generators = tuple(canonical_mask(g, n) for g in generator_order)
-        if structure_from_generators(n, generators).closure != structure.closure:
+        reached, levels = _program(n, generators)
+        if reached.closure != structure.closure:
             raise ValueError("generator_order does not generate the structure")
 
+    # Per profile, only indexing, sums and memoized sub-counts.
+    get = profile.b.__getitem__
     total = count_general(profile)
-    previous = trivial_structure(n)
-    for level, new_subset in enumerate(generators, start=1):
+    for level, (generator, strata) in enumerate(levels, start=1):
         terms = []
         correction = 0
-        current, strata = _level(previous, new_subset)
-        for graph, induced in strata:
-            sums = tuple(profile.order_sum(b) for b in graph.blocks)
+        for blocks, induced, graph in strata:
+            orders = [tuple(map(get, block)) for block in blocks]
+            sums = tuple(map(sum, orders))
             bottom_count = term = _recursive_total(sums, induced.bottom)
             top_factors = []
-            for block, block_total, top in zip(graph.blocks, sums, induced.tops):
+            for block_orders, block_total, top in zip(orders, sums, induced.tops):
                 if term == 0:
                     break
                 if top is None:
                     # Semistable bubble: (order-1) * falling_f(order-2, 1) == 1.
                     continue
-                orders = tuple(profile.b[i - 1] for i in indices_from_mask(block))
-                top_count = _recursive_total(orders, top)
+                top_count = _recursive_total(block_orders, top)
                 term *= (block_total - 1) * top_count
                 top_factors.append((block_total - 1, top_count))
             correction += term
             if trace is not None:
                 terms.append({
-                    "blocks": [list(indices_from_mask(b)) for b in graph.blocks],
+                    "blocks": [[i + 1 for i in block] for block in blocks],
                     "twist": str(twist(graph, profile)),
                     "bottom_dim": induced.bottom_dim,
                     "factors": [str(bottom_count)] + [f"{t}*{c}" for t, c in top_factors],
                     "term": str(term),
                 })
         total -= correction
-        previous = current
         if trace is not None:
             trace.append({
                 "level": level,
-                "generator": list(indices_from_mask(new_subset)),
+                "generator": list(generator),
                 "terms": terms,
                 "running_total": str(total),
             })

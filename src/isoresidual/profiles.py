@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from ._linalg import Kernel, kernel_contains, kernel_reduce, mask_dot, ones_kernel
+from ._linalg import Kernel, kernel_reduce, mask_dot, ones_kernel
 from .errors import RealizationExhausted
 from .exactarith import GaussianRational, scaled_to_gaussian_integers
 
@@ -42,6 +43,13 @@ def indices_from_mask(mask: Mask) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def pole_indices(mask: Mask) -> tuple[int, ...]:
+    """0-based indices of the poles in a mask, for reading a row at them;
+    cached, and a mask has at most MAX_POLES bits."""
+    return tuple(i - 1 for i in indices_from_mask(mask))
 
 
 def canonical_mask(mask: Mask, n: int) -> Mask:
@@ -164,24 +172,90 @@ def _canonical_masks(n: int):
     return (m for m in range(1, full, 2))
 
 
-def _greedy_generators(n: int, closure) -> tuple[Mask, ...]:
-    kernel = ones_kernel(n)
-    gens = []
+def _packed_rows(n: int, kernel: Kernel) -> list[int]:
+    """One int per pole: the kernel rows' entries at that pole as the digits
+    of a balanced mixed-radix number, each row's radix beyond twice its
+    absolute sum.  A subset's dot product with a row is then one digit of
+    the packed subset sum, so that sum is zero exactly when every row's dot
+    product is: the subset lies in the span the kernel encodes."""
+    packed = [0] * n
+    for row in kernel:
+        radix = 2 * sum(map(abs, row)) + 1
+        packed = [p * radix + x for p, x in zip(packed, row)]
+    return packed
+
+
+def _packed_span_kernel(n: int, d: int, basis: dict[int, list[int]]) -> list[int]:
+    """The kernel of a span, packed per pole as in ``_packed_rows``.
+
+    ``basis`` is the span's reduced echelon form scaled to integers by d:
+    the row of each pivot column c holds d at c and 0 at every other pivot.
+    The kernel has one vector per free column j, -d at j and row[j] at each
+    pivot c, so only the free columns are digits of the packed ints."""
+    rows = list(basis.items())
+    packed = [0] * n
+    weight = 1
+    for j in reversed(range(n)):
+        if j in basis:
+            continue
+        packed[j] = -d * weight
+        bound = d
+        for c, row in rows:
+            if row[j]:
+                packed[c] += row[j] * weight
+                bound += abs(row[j])
+        weight *= 2 * bound + 1
+    return packed
+
+
+def _greedy_generators(n: int, closure, rank: int) -> tuple[Mask, ...]:
+    """The closure's greedy independent subfamily in canonical order (by
+    size, then mask), stopped once it holds ``rank`` masks.
+
+    The span of the masks kept, with the all-ones vector, is held in
+    reduced echelon form, and each mask is tested by one dot product with
+    the span's kernel, packed.  Keeping a mask updates the echelon rows,
+    one per kept mask, not the kernel's n - 1 - rank rows."""
+    d, basis = 1, {0: [1] * n}
+    packed = _packed_span_kernel(n, d, basis)
+    gens: list[Mask] = []
     for mask in sorted(closure, key=_mask_sort_key):
-        if not kernel_contains(kernel, mask):
-            gens.append(mask)
-            kernel = kernel_reduce(kernel, mask)
+        if not mask_dot(packed, mask):
+            continue
+        gens.append(mask)
+        if len(gens) == rank:
+            break
+        # d times the indicator, reduced to zero at every pivot.
+        v = [d * (mask >> i & 1) for i in range(n)]
+        for c, row in basis.items():
+            if mask >> c & 1:
+                v = [x - y for x, y in zip(v, row)]
+        pivot = next(i for i, x in enumerate(v) if x)
+        e = v[pivot]
+        basis = {c: [e * x - row[pivot] * y for x, y in zip(row, v)] for c, row in basis.items()}
+        basis[pivot] = [d * y for y in v]
+        d *= e
+        g = gcd(d, *(x for row in basis.values() for x in row))
+        if d < 0:
+            g = -g
+        if g != 1:  # keep d positive and the rows in lowest terms
+            d //= g
+            basis = {c: [x // g for x in row] for c, row in basis.items()}
+        packed = _packed_span_kernel(n, d, basis)
     return tuple(gens)
 
 
 @lru_cache(maxsize=None)
 def _span_closure(n: int, gens: frozenset) -> tuple[frozenset, tuple, int, Kernel]:
+    """Closure, canonical generators, rank and kernel of a generator set.
+    The closure is the zero-sum subsets of the packed kernel rows, met in
+    the middle, not a test of every canonical mask."""
     kernel = ones_kernel(n)
     for mask in gens:
         kernel = kernel_reduce(kernel, mask)
-    closure = frozenset(m for m in _canonical_masks(n) if kernel_contains(kernel, m))
-    canonical_gens = _greedy_generators(n, closure)
-    return closure, canonical_gens, len(canonical_gens), kernel
+    closure = _zero_sum_closure(_packed_rows(n, kernel))
+    rank = n - 1 - len(kernel)
+    return closure, _greedy_generators(n, closure, rank), rank, kernel
 
 
 def structure_from_generators(n: int, generators) -> VanishingStructure:
@@ -258,7 +332,7 @@ def vanishing_subsets(residues: ResidueTuple) -> VanishingStructure:
     n = residues.n
     _check_n(n)
     closure = _zero_sum_closure(_packed(residues.values))
-    gens = _greedy_generators(n, closure)
+    gens = _greedy_generators(n, closure, n - 1)  # stops when the kernel is empty
     return VanishingStructure(n, gens, closure, len(gens))
 
 
@@ -297,25 +371,37 @@ def realize_residues(structure: VanishingStructure, seed: int) -> ResidueTuple:
     )
 
 
+# The most poles whose structures are all enumerated: six poles have 1788
+# structures, and enumerating those on seven once ran for ten minutes and
+# past 7 GB without finishing.
+MAX_ENUMERATED_POLES = 6
+
+
 @lru_cache(maxsize=None)
 def all_vanishing_structures(n: int) -> tuple[VanishingStructure, ...]:
     """Every span-closed vanishing structure on n poles, by breadth-first
-    closure of generator additions.  Exponential in n; meant for sweeps."""
+    closure of generator additions.  Exponential in n; meant for sweeps,
+    and refused above MAX_ENUMERATED_POLES."""
     _check_n(n)
+    if n > MAX_ENUMERATED_POLES:
+        raise ValueError(
+            f"structures are enumerated up to {MAX_ENUMERATED_POLES} poles, got {n}"
+        )
     start = trivial_structure(n)
     seen = {start.closure: start}
     frontier = [start]
     while frontier:
         nxt = []
         for structure in frontier:
+            kernel = structure_kernel(structure)
             for mask in _canonical_masks(n):
                 if mask in structure.closure:
                     continue
-                grown = structure_from_generators(
-                    n, structure.generators + (mask,)
-                )
-                if grown.closure not in seen:
-                    seen[grown.closure] = grown
+                # Only a closure not seen yet is built into a structure.
+                closure = _zero_sum_closure(_packed_rows(n, kernel_reduce(kernel, mask)))
+                if closure not in seen:
+                    grown = structure_from_generators(n, structure.generators + (mask,))
+                    seen[closure] = grown
                     nxt.append(grown)
         frontier = nxt
     return tuple(

@@ -37,6 +37,7 @@ from .oracle import (
     oracle_count,
 )
 from .profiles import (
+    MAX_ENUMERATED_POLES,
     OrderProfile,
     ResidueTuple,
     all_vanishing_structures,
@@ -130,6 +131,18 @@ def _order_multisets(n: int, b_max: int):
     return combinations_with_replacement(range(1, b_max + 1), n)
 
 
+def _every_structure(n_max: int):
+    """(n, every vanishing structure on n poles) for n = 2..n_max.  An n_max
+    past MAX_ENUMERATED_POLES is refused here, before the sweep checks
+    anything."""
+    if n_max > MAX_ENUMERATED_POLES:
+        raise ValueError(
+            f"n_max is at most {MAX_ENUMERATED_POLES}, the most poles whose "
+            f"structures are all enumerated; got {n_max}"
+        )
+    return ((n, all_vanishing_structures(n)) for n in range(2, n_max + 1))
+
+
 @_timed
 def check_general_residue_law(n_max: int = 8, b_max: int = 5) -> SuiteResult:
     """With no vanishing partial sums the count is falling_f(a, n), for
@@ -206,8 +219,7 @@ def check_recursion_equivalence(n_max: int = 6, b_max: int = 4) -> SuiteResult:
     structure, and is independent of the order the generators are peeled.
     The two share only the zero-sum partitions of each structure."""
     result = SuiteResult(f"recursion equivalence (n<={n_max}, b<={b_max})")
-    for n in range(2, n_max + 1):
-        structures = all_vanishing_structures(n)
+    for n, structures in _every_structure(n_max):
         profiles = [
             OrderProfile.from_pole_orders(b) for b in _order_multisets(n, b_max)
         ]
@@ -312,8 +324,7 @@ def check_monotonic_vanishing(n_max: int = 6, b_max: int = 4) -> SuiteResult:
     forced-zero residue.
     """
     result = SuiteResult(f"monotonicity and vanishing (n<={n_max}, b<={b_max})")
-    for n in range(2, n_max + 1):
-        structures = all_vanishing_structures(n)
+    for n, structures in _every_structure(n_max):
         profiles = [
             OrderProfile.from_pole_orders(b) for b in _order_multisets(n, b_max)
         ]

@@ -528,6 +528,18 @@ class TestVerify:
         payload = json.loads(out)
         assert payload[0]["failures"] == 0
 
+    @pytest.mark.parametrize("suite", ["recursion", "monotonic"])
+    def test_structure_sweeps_stop_at_six_poles(self, capsys, monkeypatch, suite):
+        # Every structure on seven poles took ten minutes and 7 GB without
+        # finishing, so n_max past six is refused before any enumeration.
+        def refuse(n):
+            raise AssertionError(f"enumerated the structures on {n} poles")
+
+        monkeypatch.setattr(verification, "all_vanishing_structures", refuse)
+        code, out, err = run(capsys, "verify", suite, "--n-max", "7")
+        assert code == 2 and out == ""
+        assert "at most 6" in err and "got 7" in err
+
     @pytest.fixture
     def sweep_calls(self, monkeypatch):
         """Stands in for the recursion sweep and records its arguments."""

@@ -16,7 +16,7 @@ from isoresidual.counting import (
     degenerate_simple_poles,
     zero_identity_value,
 )
-from isoresidual.errors import NonIntegralResult
+from isoresidual.errors import NegativeResult, NonIntegralResult
 from isoresidual.exactarith import falling_f
 from isoresidual.levelgraph import count_recursive
 from isoresidual.partitions import iter_set_partitions
@@ -273,6 +273,32 @@ def permute_mask(mask, perm):
         if (mask >> i) & 1:
             out |= 1 << target
     return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_total_matches_the_exact_terms(data):
+    n = data.draw(st.integers(2, 8))
+    b = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    gens = data.draw(st.lists(st.integers(1, full_mask(n) - 1), max_size=n - 1))
+    profile = OrderProfile.from_pole_orders(b)
+    structure = structure_from_generators(n, gens)
+    breakdown = count_closed_form(profile, structure)
+    total = counting._count_total.__wrapped__(profile, structure)
+    assert type(total) is int
+    assert total == breakdown.total == sum(value for _, value, _ in breakdown.per_s)
+
+
+class TestIntegerTotal:
+    def test_horner_in_minus_a_plus_one(self):
+        # a = 2: (a+1) N = 6 - 3*3 + 9*1 = 6, so N = 2.
+        assert counting._integer_total(2, [0, 6, 3, 1]) == 2
+
+    def test_checks_are_kept(self):
+        with pytest.raises(NonIntegralResult, match="7/3"):
+            counting._integer_total(2, [0, 7])
+        with pytest.raises(NegativeResult, match="-1"):
+            counting._integer_total(2, [0, 0, 1])
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from isoresidual import counting, levelgraph
+from isoresidual import profiles as profiles_module
 from isoresidual._linalg import kernel_contains, kernel_reduce
 from isoresidual.counting import count_closed_form, count_one_vanishing
 from isoresidual.exactarith import GaussianRational
@@ -298,8 +299,31 @@ class TestCountRecursive:
 
     def test_order_must_generate_structure(self):
         structure = structure_from_generators(4, [0b0011, 0b0101])
+        # Twice: the second call finds the order's program cached.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                count_recursive(MU_4, structure, generator_order=(0b0011,))
+        # An order that generates more than the structure.
         with pytest.raises(ValueError):
-            count_recursive(MU_4, structure, generator_order=(0b0011,))
+            count_recursive(MU_4, structure, generator_order=(0b0011, 0b0101, 0b0001))
+        # A dependent condition ({2,4} is the complement of {1,3}) is
+        # refused when the program is built.
+        with pytest.raises(ValueError, match="already hold"):
+            count_recursive(MU_4, structure, generator_order=(0b0011, 0b0101, 0b1010))
+
+    def test_trace_does_not_change_the_total(self):
+        profiles = [OrderProfile.from_pole_orders(b) for b in ((2, 1, 3, 1, 2), (1, 1, 1, 1, 1))]
+        for structure in all_vanishing_structures(5):
+            for profile in profiles:
+                trace = []
+                total = count_recursive(profile, structure, trace=trace)
+                assert total == count_recursive(profile, structure)
+                if structure.is_identically_zero():
+                    assert total == 0 and trace == []  # counted before any level
+                    continue
+                assert [level["level"] for level in trace] == list(range(1, structure.rank + 1))
+                if trace:
+                    assert trace[-1]["running_total"] == str(total)
 
     def test_trace_is_json_ready(self):
         trace = []
@@ -317,6 +341,37 @@ class TestCountRecursive:
     def test_pole_count_mismatch(self):
         with pytest.raises(ValueError):
             count_recursive(MU_3, trivial_structure(4))
+
+
+class TestProgramOncePerStructure:
+    STRUCTURE = structure_from_generators(5, [0b00011, 0b00101])
+
+    def test_a_second_profile_adds_no_cache_miss(self):
+        count_recursive(OrderProfile.from_pole_orders((2, 2, 2, 2, 2)), self.STRUCTURE)
+        graphs = boundary_graphs.cache_info().misses
+        induced = induced_structures.cache_info().misses
+        count_recursive(OrderProfile.from_pole_orders((3, 2, 4, 2, 5)), self.STRUCTURE)
+        assert boundary_graphs.cache_info().misses == graphs
+        assert induced_structures.cache_info().misses == induced
+
+    def test_a_second_profile_does_no_mask_work(self, monkeypatch):
+        # Orders >= 2 make every term nonzero, so the first profile builds
+        # the program of every sub-count the second one needs.
+        first = OrderProfile.from_pole_orders((2, 3, 2, 2, 2))
+        count_recursive(first, self.STRUCTURE)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mask work in the per-profile loop")
+
+        for name in ("mask_dot", "indices_from_mask", "trivial_structure",
+                     "structure_from_generators", "canonical_mask"):
+            for module in (levelgraph, profiles_module):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        second = OrderProfile.from_pole_orders((4, 2, 3, 5, 2))
+        got = count_recursive(second, self.STRUCTURE)
+        monkeypatch.undo()
+        assert got == count_closed_form(second, self.STRUCTURE).total
 
 
 class TestRecursionStandsAlone:

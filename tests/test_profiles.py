@@ -3,10 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from isoresidual._linalg import kernel_contains, kernel_reduce, ones_kernel
 from isoresidual.exactarith import GaussianRational
 from isoresidual.profiles import (
+    MAX_ENUMERATED_POLES,
     MAX_POLES,
     OrderProfile,
+    _greedy_generators,
+    _span_closure,
     _zero_sum_closure,
     ResidueTuple,
     all_vanishing_structures,
@@ -236,6 +240,72 @@ class TestStructureEnumeration:
     def test_all_distinct_and_closed(self):
         structures = all_vanishing_structures(4)
         assert len({s.closure for s in structures}) == len(structures)
+
+    def test_refused_above_the_limit(self):
+        assert MAX_ENUMERATED_POLES == 6
+        with pytest.raises(ValueError, match="up to 6 poles"):
+            all_vanishing_structures(MAX_ENUMERATED_POLES + 1)
+
+
+def greedy_by_definition(n, closure):
+    """The closure's greedy independent subfamily in canonical order, each
+    mask tested against every kernel row."""
+    kernel = ones_kernel(n)
+    gens = []
+    for mask in sorted(closure, key=lambda m: (m.bit_count(), m)):
+        if not kernel_contains(kernel, mask):
+            gens.append(mask)
+            kernel = kernel_reduce(kernel, mask)
+    return tuple(gens)
+
+
+def span_closure_by_definition(n, gens):
+    """Closure, generators, rank and kernel of a generator set, the closure
+    by kernel_contains over every canonical mask."""
+    kernel = ones_kernel(n)
+    for mask in gens:
+        kernel = kernel_reduce(kernel, mask)
+    closure = frozenset(m for m in range(1, full_mask(n), 2) if kernel_contains(kernel, m))
+    canonical = greedy_by_definition(n, closure)
+    return closure, canonical, len(canonical), kernel
+
+
+class TestPackedSpanClosure:
+    """The packed span closure and the early-stopping greedy generators
+    against their definitions."""
+
+    def test_every_structure_up_to_five_poles(self):
+        for structure in all_structures_up_to(5):
+            n = structure.n
+            for gens in (structure.generators, structure.closure):
+                got = _span_closure.__wrapped__(n, frozenset(gens))
+                assert got == span_closure_by_definition(n, gens)
+
+    def test_generators_of_every_structure_up_to_six_poles(self):
+        for structure in all_structures_up_to(6):
+            n, closure = structure.n, structure.closure
+            want = greedy_by_definition(n, closure)
+            assert structure.generators == want
+            assert _greedy_generators(n, closure, len(want)) == want
+            # Stopping only when the kernel is empty finds the same masks.
+            assert _greedy_generators(n, closure, n - 1) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 7, MAX_POLES])
+    def test_identically_zero_kernel_is_empty(self, n):
+        gens = frozenset(1 << i for i in range(n - 1))
+        closure, canonical, rank, kernel = _span_closure.__wrapped__(n, gens)
+        assert kernel == () and rank == n - 1
+        assert closure == frozenset(range(1, full_mask(n), 2))
+        assert (closure, canonical, rank, kernel) == span_closure_by_definition(n, gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_packed_span_closure_matches_definition(data):
+    n = data.draw(st.integers(2, MAX_POLES))
+    gens = data.draw(st.lists(st.integers(1, full_mask(n) - 1), max_size=min(n, 6)))
+    gens = frozenset(canonical_mask(m, n) for m in gens)
+    assert _span_closure.__wrapped__(n, gens) == span_closure_by_definition(n, gens)
 
 
 @settings(max_examples=60, deadline=None)
