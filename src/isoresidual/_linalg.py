@@ -11,19 +11,29 @@ dot products.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 Kernel = tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=None)
+def pole_indices(mask: int) -> tuple[int, ...]:
+    """0-based indices of the set bits of a mask, lowest first, for reading
+    a row at them; cached, and a mask has at most MAX_POLES bits."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def mask_dot(row, mask: int) -> int:
     """Dot product of an integer row with the indicator vector of mask."""
     total = 0
-    while mask:
-        low = mask & -mask
-        total += row[low.bit_length() - 1]
-        mask ^= low
+    for i in pole_indices(mask):
+        total += row[i]
     return total
 
 
@@ -81,23 +91,3 @@ def kernel_contains(kernel: Kernel, mask: int) -> bool:
     """True iff the subset's indicator lies in the span the kernel encodes."""
     return all(mask_dot(row, mask) == 0 for row in kernel)
 
-
-def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square exact linear system by Gaussian elimination.
-
-    Raises ValueError if the matrix is singular.
-    """
-    size = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot_row is None:
-            raise ValueError("singular linear system")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]

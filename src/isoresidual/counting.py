@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
+from operator import sub
 
-from ._linalg import solve_linear
 from .errors import InterpolationMismatch, NegativeResult, NonIntegralResult
 from .exactarith import falling_f
 from .partitions import sums_by_part_count, zero_sum_plan
@@ -223,7 +224,10 @@ def check_monotonicity(
 
 @dataclass(frozen=True, slots=True)
 class DegreeFitReport:
-    """Outcome of the exact polynomial fit of the count in b_1..b_n."""
+    """Outcome of the exact degree check of the count in b_1..b_n.
+
+    monomials counts the coefficients of degree <= n - 2 and points_verified
+    the rest of the grid's coefficients, each checked to be zero."""
 
     n: int
     b_range: int
@@ -234,28 +238,36 @@ class DegreeFitReport:
     max_variable_degree: int
 
 
-def _monomials_up_to(n: int, degree: int):
-    out = []
+def _newton_coefficients(values: list[int], size: int, n: int) -> list[int]:
+    """Forward differences at the origin of a table on {0..size-1}^n, listed
+    in product order: entry alpha is the coefficient of prod C(x_i, alpha_i)
+    in the table's Newton interpolant, in the same order.
 
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e)
-
-    rec([], degree)
-    return out
+    Each pass differences along the slowest axis, block by block, and then
+    moves that axis to the fastest place; n passes restore the order."""
+    table = values
+    for _ in range(n):
+        step = len(table) // size
+        blocks = [table[i * step:(i + 1) * step] for i in range(size)]
+        for k in range(1, size):
+            blocks[k:] = [list(map(sub, hi, lo)) for lo, hi in zip(blocks[k - 1:], blocks[k:])]
+        table = [x for column in zip(*blocks) for x in column]
+    return table
 
 
 def check_polynomial_degree(structure: VanishingStructure, b_range: int) -> DegreeFitReport:
-    """Fit the count as an exact polynomial of total degree <= n - 2 in the
-    pole orders and verify the fit on every remaining grid point.
+    """Check that the count is a polynomial of total degree <= n - 2 in the
+    pole orders on the grid [1, b_range]^n.
 
-    Training points are the simplex lattice {b : sum(b_i - 1) <= n - 2},
-    which determines the fit uniquely; the rest of the grid [1, b_range]^n
-    is held out.  Raises InterpolationMismatch if any held-out evaluation
-    disagrees, which would falsify the degree bound.
+    Integer forward differences of the grid values give the exact Newton
+    coefficients c_alpha of prod C(b_i - 1, alpha_i), alpha in
+    {0..b_range-1}^n, and the grid values come from a polynomial of total
+    degree <= n - 2 exactly when every c_alpha with |alpha| > n - 2 is zero;
+    InterpolationMismatch is raised otherwise.  The binomial basis keeps the
+    total degree, the top homogeneous component and the degree in each
+    variable, so the report reads them off the nonzero alpha.  The
+    coefficients checked to vanish are all but the C(2n - 2, n) of degree
+    <= n - 2.
     """
     if structure.is_identically_zero():
         raise ValueError("the identically-zero structure has no nonzero count")
@@ -263,54 +275,29 @@ def check_polynomial_degree(structure: VanishingStructure, b_range: int) -> Degr
     degree = n - 2
     if b_range < n - 1:
         raise ValueError(f"b_range must be at least {n - 1} to pin the fit")
-
-    def evaluate(point) -> int:
-        return _count_total(OrderProfile.from_pole_orders(point), structure)
-
-    monomials = _monomials_up_to(n, degree)
-    train = [tuple(e + 1 for e in exps) for exps in monomials]
-    matrix = []
-    rhs = []
-    for point in train:
-        row = []
-        for exps in monomials:
-            v = 1
-            for base, e in zip(point, exps):
-                v *= base**e
-            row.append(Fraction(v))
-        matrix.append(row)
-        rhs.append(Fraction(evaluate(point)))
-    coeffs = solve_linear(matrix, rhs)
-
-    def poly_at(point) -> Fraction:
-        total = Fraction(0)
-        for c, exps in zip(coeffs, monomials):
-            if c:
-                v = 1
-                for base, e in zip(point, exps):
-                    v *= base**e
-                total += c * v
-        return total
-
-    train_set = set(train)
-    verified = 0
-    for point in product(range(1, b_range + 1), repeat=n):
-        if point in train_set:
-            continue
-        if poly_at(point) != evaluate(point):
+    values = [
+        _count_total(OrderProfile.from_pole_orders(point), structure)
+        for point in product(range(1, b_range + 1), repeat=n)
+    ]
+    coefficients = _newton_coefficients(values, b_range, n)
+    nonzero = [
+        alpha
+        for alpha, c in zip(product(range(b_range), repeat=n), coefficients)
+        if c
+    ]
+    for alpha in nonzero:
+        if sum(alpha) > degree:
             raise InterpolationMismatch(
-                f"degree-{degree} fit missed the count at b = {point}"
+                f"the count has a nonzero Newton coefficient at exponents "
+                f"{alpha}, of total degree {sum(alpha)} > {degree}"
             )
-        verified += 1
-
-    nonzero = [(exps, c) for exps, c in zip(monomials, coeffs) if c]
-    total_degree = max((sum(e) for e, _ in nonzero), default=0)
+    monomials = comb(n + degree, n)
     return DegreeFitReport(
         n=n,
         b_range=b_range,
-        monomials=len(monomials),
-        points_verified=verified,
-        total_degree=total_degree,
-        top_component_nonzero=any(sum(e) == degree for e, _ in nonzero),
-        max_variable_degree=max((max(e) for e, _ in nonzero), default=0),
+        monomials=monomials,
+        points_verified=b_range**n - monomials,
+        total_degree=max(map(sum, nonzero), default=0),
+        top_component_nonzero=any(sum(alpha) == degree for alpha in nonzero),
+        max_variable_degree=max(map(max, nonzero), default=0),
     )

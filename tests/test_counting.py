@@ -5,8 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoresidual import counting
+from isoresidual import counting, verification
 from isoresidual.counting import (
+    DegreeFitReport,
     check_monotonicity,
     check_polynomial_degree,
     count_closed_form,
@@ -16,7 +17,7 @@ from isoresidual.counting import (
     degenerate_simple_poles,
     zero_identity_value,
 )
-from isoresidual.errors import NegativeResult, NonIntegralResult
+from isoresidual.errors import InterpolationMismatch, NegativeResult, NonIntegralResult
 from isoresidual.exactarith import falling_f
 from isoresidual.levelgraph import count_recursive
 from isoresidual.partitions import iter_set_partitions
@@ -197,6 +198,72 @@ class TestPolynomialDegree:
     def test_rejects_identically_zero(self):
         with pytest.raises(ValueError):
             check_polynomial_degree(identically_zero_structure(3), 3)
+
+    # Every structure the degree sweep builds up to six poles, by its
+    # canonical generators, with the report of the rational fit that the
+    # forward differences replaced: (monomials, points verified, total
+    # degree, top component nonzero, max variable degree) at b_range n - 1.
+    SWEEP_REPORTS = [
+        (3, (), (4, 4, 1, True, 1)),
+        (3, (1,), (4, 4, 1, True, 1)),
+        (4, (), (15, 66, 2, True, 2)),
+        (4, (1,), (15, 66, 2, True, 2)),
+        (4, (3,), (15, 66, 2, True, 2)),
+        (4, (3, 5), (15, 66, 2, True, 2)),
+        (4, (1, 3), (15, 66, 2, True, 1)),
+        (5, (), (56, 968, 3, True, 3)),
+        (5, (1,), (56, 968, 3, True, 3)),
+        (5, (3,), (56, 968, 3, True, 3)),
+        (5, (3, 5), (56, 968, 3, True, 3)),
+        (5, (1, 3, 5), (56, 968, 3, True, 1)),
+        (6, (), (210, 15415, 4, True, 4)),
+        (6, (1,), (210, 15415, 4, True, 4)),
+        (6, (3,), (210, 15415, 4, True, 4)),
+        (6, (3, 5), (210, 15415, 4, True, 4)),
+        (6, (1, 3, 5, 9), (210, 15415, 4, True, 1)),
+    ]
+
+    def test_sweep_reports_are_pinned(self, monkeypatch):
+        built = []
+
+        def record(structure, b_range):
+            built.append((structure.n, structure.generators))
+            return DegreeFitReport(structure.n, b_range, 0, 0, structure.n - 2, True, 0)
+
+        monkeypatch.setattr(verification, "check_polynomial_degree", record)
+        assert verification.check_degree_interpolation(n_max=6).passed
+        assert built == [(n, gens) for n, gens, _ in self.SWEEP_REPORTS]
+
+    @pytest.mark.parametrize("n, gens, fields", SWEEP_REPORTS)
+    def test_sweep_report(self, n, gens, fields):
+        report = check_polynomial_degree(structure_from_generators(n, gens), n - 1)
+        assert report == DegreeFitReport(n, n - 1, *fields)
+
+    @pytest.mark.parametrize(
+        "poly, total, top, per_variable",
+        [
+            (lambda b: 3 * b[0] * b[1] - b[2] + 7, 2, True, 1),
+            (lambda b: b[3] ** 2 - 4 * b[0] * b[2] + b[1], 2, True, 2),
+            (lambda b: 5 * b[0] - 2, 1, False, 1),
+            (lambda b: 9, 0, False, 0),
+        ],
+    )
+    @pytest.mark.parametrize("b_range", [3, 5])
+    def test_reads_off_a_known_polynomial(self, monkeypatch, poly, total, top, per_variable, b_range):
+        monkeypatch.setattr(counting, "_count_total", lambda profile, _: poly(profile.b))
+        report = check_polynomial_degree(trivial_structure(4), b_range)
+        assert (report.total_degree, report.top_component_nonzero) == (total, top)
+        assert report.max_variable_degree == per_variable
+        assert report.points_verified == b_range**4 - 15
+
+    def test_a_term_past_degree_n_minus_2_is_a_mismatch(self, monkeypatch):
+        def count(profile, _):
+            b = profile.b
+            return 3 * b[0] * b[1] - b[2] + 7 + b[0] * b[2] * b[3]
+
+        monkeypatch.setattr(counting, "_count_total", count)
+        with pytest.raises(InterpolationMismatch, match=r"\(1, 0, 1, 1\)"):
+            check_polynomial_degree(trivial_structure(4), 3)
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from isoresidual._linalg import kernel_contains, kernel_reduce, ones_kernel
+from isoresidual._linalg import (
+    kernel_contains,
+    kernel_reduce,
+    mask_dot,
+    ones_kernel,
+    pole_indices,
+)
 from isoresidual.exactarith import GaussianRational
 from isoresidual.profiles import (
     MAX_ENUMERATED_POLES,
@@ -13,6 +19,7 @@ from isoresidual.profiles import (
     _span_closure,
     _zero_sum_closure,
     ResidueTuple,
+    VanishingStructure,
     all_vanishing_structures,
     canonical_mask,
     full_mask,
@@ -73,6 +80,14 @@ class TestResidueTuple:
 class TestMasks:
     def test_round_trip(self):
         assert indices_from_mask(mask_from_indices((1, 3), 4)) == (1, 3)
+
+    def test_one_walk_lists_and_sums(self):
+        row = tuple(range(3, 3 + MAX_POLES))
+        for mask in (*range(1 << 7), full_mask(MAX_POLES), 0b1010 << 12):
+            bits = tuple(i for i in range(MAX_POLES) if mask >> i & 1)
+            assert pole_indices(mask) == bits
+            assert indices_from_mask(mask) == tuple(i + 1 for i in bits)
+            assert mask_dot(row, mask) == sum(row[i] for i in bits)
 
     def test_canonical_contains_pole_one(self):
         assert canonical_mask(0b0011, 4) == 0b0011
@@ -149,6 +164,13 @@ class TestClosureLaws:
         for structure in all_structures_up_to(5):
             again = structure_from_generators(structure.n, structure.closure)
             assert again == structure
+            assert (again.generators, again.rank) == (structure.generators, structure.rank)
+
+    def test_equality_and_hash_read_the_closure_alone(self):
+        structure = structure_from_generators(4, [0b0011, 0b0101])
+        reordered = VanishingStructure(4, (0b0101, 0b0011), structure.closure, 2)
+        assert reordered == structure and hash(reordered) == hash(structure)
+        assert structure != structure_from_generators(4, [0b0011])
 
     def test_complement_stability(self):
         for structure in all_structures_up_to(5):
