@@ -130,12 +130,15 @@ def count_closed_form(profile: OrderProfile, structure: VanishingStructure) -> C
     )
 
 
-@lru_cache(maxsize=1 << 17)
-def _count_total(profile: OrderProfile, structure: VanishingStructure) -> int:
-    """Memoized total, for the recursion and the verification sweeps; it
-    builds no per-s Fractions."""
+def _count_value(profile: OrderProfile, structure: VanishingStructure) -> int:
+    """The total, with no per-s Fractions and no memo: the degree grid looks
+    no point up twice."""
     _check_match(profile, structure)
     return _integer_total(profile.a, _weighted_sums(profile, zero_sum_plan(structure)))
+
+
+# The memoized total, for the recursion and the verification sweeps.
+_count_total = lru_cache(maxsize=1 << 17)(_count_value)
 
 
 def count_general(profile: OrderProfile) -> int:
@@ -259,15 +262,15 @@ def check_polynomial_degree(structure: VanishingStructure, b_range: int) -> Degr
     """Check that the count is a polynomial of total degree <= n - 2 in the
     pole orders on the grid [1, b_range]^n.
 
-    Integer forward differences of the grid values give the exact Newton
-    coefficients c_alpha of prod C(b_i - 1, alpha_i), alpha in
-    {0..b_range-1}^n, and the grid values come from a polynomial of total
-    degree <= n - 2 exactly when every c_alpha with |alpha| > n - 2 is zero;
-    InterpolationMismatch is raised otherwise.  The binomial basis keeps the
-    total degree, the top homogeneous component and the degree in each
-    variable, so the report reads them off the nonzero alpha.  The
-    coefficients checked to vanish are all but the C(2n - 2, n) of degree
-    <= n - 2.
+    Integer forward differences of the grid values, each counted once and
+    kept out of the memo, give the exact Newton coefficients c_alpha of
+    prod C(b_i - 1, alpha_i), alpha in {0..b_range-1}^n, and the grid
+    values come from a polynomial of total degree <= n - 2 exactly when
+    every c_alpha with |alpha| > n - 2 is zero; InterpolationMismatch is
+    raised otherwise.  The binomial basis keeps the total degree, the top
+    homogeneous component and the degree in each variable, so the report
+    reads them off the nonzero alpha.  The coefficients checked to vanish
+    are all but the C(2n - 2, n) of degree <= n - 2.
     """
     if structure.is_identically_zero():
         raise ValueError("the identically-zero structure has no nonzero count")
@@ -276,7 +279,7 @@ def check_polynomial_degree(structure: VanishingStructure, b_range: int) -> Degr
     if b_range < n - 1:
         raise ValueError(f"b_range must be at least {n - 1} to pin the fit")
     values = [
-        _count_total(OrderProfile.from_pole_orders(point), structure)
+        _count_value(OrderProfile.from_pole_orders(point), structure)
         for point in product(range(1, b_range + 1), repeat=n)
     ]
     coefficients = _newton_coefficients(values, b_range, n)

@@ -23,7 +23,7 @@ from .errors import (
     ParabolicMultiplier,
     TransversalityWarning,
 )
-from .exactarith import GaussianRational, scaled_to_gaussian_integers
+from .exactarith import GaussianRational
 from .profiles import OrderProfile, ResidueTuple, vanishing_subsets
 
 __all__ = [
@@ -210,7 +210,7 @@ def oracle_count(profile: OrderProfile, residues: ResidueTuple) -> int:
         return 1
 
     funcs = residue_functions(profile)
-    values = scaled_to_gaussian_integers(residues.values)
+    values = list(zip(*residues.rows))
     anchor = next(i for i in range(3) if values[i] != (0, 0))
     num_a, den_a = funcs[anchor]
     elim = []

@@ -9,10 +9,10 @@ representative of the pair is the one containing pole 1.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from ._linalg import Kernel, kernel_reduce, mask_dot, ones_kernel, pole_indices
 from .errors import RealizationExhausted
@@ -93,9 +93,15 @@ class OrderProfile:
 
 @dataclass(frozen=True, slots=True)
 class ResidueTuple:
-    """Exact Gaussian-rational residues, one per pole, summing to zero."""
+    """Exact Gaussian-rational residues, one per pole, summing to zero.
+
+    rows holds the values scaled once to Gaussian integers, as a real and
+    an imaginary row: a two-row kernel whose zero-sum subsets are the
+    residues' vanishing subsets.  It is derived, so equality and hashing
+    read the values alone."""
 
     values: tuple[GaussianRational, ...]
+    rows: Kernel = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
@@ -103,11 +109,15 @@ class ResidueTuple:
             raise ValueError("need at least two residues")
         if any(not isinstance(v, GaussianRational) for v in self.values):
             raise ValueError("residues must be GaussianRational values")
-        total = GaussianRational(Fraction(0))
-        for v in self.values:
-            total = total + v
-        if total:
-            raise ValueError(f"residues must sum to zero (got {total})")
+        rows = tuple(zip(*scaled_to_gaussian_integers(self.values)))
+        object.__setattr__(self, "rows", rows)
+        if any(map(sum, rows)):
+            total = sum(self.values, GaussianRational(Fraction(0)))
+            try:
+                got = f"got {total}"
+            except ValueError:  # str() refuses a number past the digit limit
+                got = f"a number has more than {sys.get_int_max_str_digits()} digits"
+            raise ValueError(f"residues must sum to zero ({got})")
 
     @property
     def n(self) -> int:
@@ -177,63 +187,24 @@ def _packed_rows(n: int, kernel: Kernel) -> list[int]:
     return packed
 
 
-def _packed_span_kernel(n: int, d: int, basis: dict[int, list[int]]) -> list[int]:
-    """The kernel of a span, packed per pole as in ``_packed_rows``.
-
-    ``basis`` is the span's reduced echelon form scaled to integers by d:
-    the row of each pivot column c holds d at c and 0 at every other pivot.
-    The kernel has one vector per free column j, -d at j and row[j] at each
-    pivot c, so only the free columns are digits of the packed ints."""
-    rows = list(basis.items())
-    packed = [0] * n
-    weight = 1
-    for j in reversed(range(n)):
-        if j in basis:
-            continue
-        packed[j] = -d * weight
-        bound = d
-        for c, row in rows:
-            if row[j]:
-                packed[c] += row[j] * weight
-                bound += abs(row[j])
-        weight *= 2 * bound + 1
-    return packed
-
-
 def _greedy_generators(n: int, closure, rank: int) -> tuple[Mask, ...]:
     """The closure's greedy independent subfamily in canonical order (by
     size, then mask), stopped once it holds ``rank`` masks.
 
-    The span of the masks kept, with the all-ones vector, is held in
-    reduced echelon form, and each mask is tested by one dot product with
-    the span's kernel, packed.  Keeping a mask updates the echelon rows,
-    one per kept mask, not the kernel's n - 1 - rank rows."""
-    d, basis = 1, {0: [1] * n}
-    packed = _packed_span_kernel(n, d, basis)
+    The span of the masks kept, with the all-ones vector, is held as its
+    kernel rows.  A mask is new to the span exactly when ``kernel_reduce``,
+    from one dot product per row, returns a new kernel; only the ``rank``
+    masks kept build one."""
+    kernel = ones_kernel(n)
     gens: list[Mask] = []
     for mask in sorted(closure, key=_mask_sort_key):
-        if not mask_dot(packed, mask):
+        reduced = kernel_reduce(kernel, mask)
+        if reduced is kernel:
             continue
         gens.append(mask)
         if len(gens) == rank:
             break
-        # d times the indicator, reduced to zero at every pivot.
-        v = [d * (mask >> i & 1) for i in range(n)]
-        for c, row in basis.items():
-            if mask >> c & 1:
-                v = [x - y for x, y in zip(v, row)]
-        pivot = next(i for i, x in enumerate(v) if x)
-        e = v[pivot]
-        basis = {c: [e * x - row[pivot] * y for x, y in zip(row, v)] for c, row in basis.items()}
-        basis[pivot] = [d * y for y in v]
-        d *= e
-        g = gcd(d, *(x for row in basis.values() for x in row))
-        if d < 0:
-            g = -g
-        if g != 1:  # keep d positive and the rows in lowest terms
-            d //= g
-            basis = {c: [x // g for x in row] for c, row in basis.items()}
-        packed = _packed_span_kernel(n, d, basis)
+        kernel = reduced
     return tuple(gens)
 
 
@@ -305,25 +276,17 @@ def _zero_sum_closure(packed: list[int]) -> frozenset[Mask]:
     return frozenset(found)
 
 
-def _packed(values: tuple[GaussianRational, ...]) -> list[int]:
-    """One int per residue whose subset sums vanish exactly where the
-    residues' do: (re, im) scaled by the lcm of every denominator to ints
-    (R, I) and packed as R*M + I, with M beyond twice any |sum of I|."""
-    parts = scaled_to_gaussian_integers(values)
-    m = 2 * sum(abs(im) for _, im in parts) + 1
-    return [re * m + im for re, im in parts]
-
-
 def vanishing_subsets(residues: ResidueTuple) -> VanishingStructure:
     """Exact vanishing structure of a residue tuple.
 
-    The closure is found by exact integer subset sums met in the middle,
-    about 2^ceil(n/2) sums plus one step per vanishing subset; the
-    generators are the greedy independent subfamily in canonical order.
+    The closure is the zero-sum subsets of the tuple's two integer rows,
+    packed and met in the middle: about 2^ceil(n/2) sums plus one step per
+    vanishing subset.  The generators are the greedy independent subfamily
+    in canonical order.
     """
     n = residues.n
     _check_n(n)
-    closure = _zero_sum_closure(_packed(residues.values))
+    closure = _zero_sum_closure(_packed_rows(n, residues.rows))
     gens = _greedy_generators(n, closure, n - 1)  # stops when the kernel is empty
     return VanishingStructure(n, gens, closure, len(gens))
 

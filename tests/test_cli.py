@@ -19,6 +19,10 @@ TOO_LONG = f"a number has more than {sys.get_int_max_str_digits()} digits"
 # have parts of about 4400 digits.
 THREES, SEVENS = "3" * 2200, "7" * 2200
 
+# Residues with parts of 4200 digits, over coprime denominators, whose
+# nonzero sum has parts of about 8400 digits.
+UNBALANCED = ["1" * 4200 + f"/{10**4199}", "1" * 4200 + f"/{10**4199 + 1}", "0"]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -346,6 +350,16 @@ class TestBatch:
         assert code == 1
         assert json.loads(out) == {"line": 1, "error": f"a number has more than {limit} digits"}
 
+    def test_long_residue_sum_is_a_line_error(self, tmp_path, capsys):
+        path = tmp_path / "sum.jsonl"
+        good = {"b": [2, 2, 2], "vanishings": "1"}
+        path.write_text(json.dumps({"b": [2, 2, 2], "rho": UNBALANCED}) + "\n" + json.dumps(good) + "\n")
+        code, out, err = run(capsys, "batch", str(path))
+        assert code == 1 and err == ""
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert reports[0] == {"line": 1, "error": f"residues must sum to zero ({TOO_LONG})"}
+        assert (reports[1]["line"], reports[1]["total"]) == (2, "1")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "/nonexistent/path.jsonl")
         assert code == 2
@@ -461,6 +475,9 @@ def test_zero_denominator_is_named(capsys, argv):
          f"bad lambdas: {TOO_LONG}"),
         # the index constraint's message, which prints the residue sum
         (("multipliers", f"--lambdas={THREES},{SEVENS},0"), f"bad lambdas: {TOO_LONG}"),
+        # the zero-sum message, which prints the residue sum
+        (("count", "--b", "2,2,2", "--rho", ",".join(UNBALANCED)),
+         f"residues must sum to zero ({TOO_LONG})"),
     ],
 )
 def test_flag_error_names_the_field(capsys, argv, message):

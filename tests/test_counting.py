@@ -250,7 +250,7 @@ class TestPolynomialDegree:
     )
     @pytest.mark.parametrize("b_range", [3, 5])
     def test_reads_off_a_known_polynomial(self, monkeypatch, poly, total, top, per_variable, b_range):
-        monkeypatch.setattr(counting, "_count_total", lambda profile, _: poly(profile.b))
+        monkeypatch.setattr(counting, "_count_value", lambda profile, _: poly(profile.b))
         report = check_polynomial_degree(trivial_structure(4), b_range)
         assert (report.total_degree, report.top_component_nonzero) == (total, top)
         assert report.max_variable_degree == per_variable
@@ -261,7 +261,7 @@ class TestPolynomialDegree:
             b = profile.b
             return 3 * b[0] * b[1] - b[2] + 7 + b[0] * b[2] * b[3]
 
-        monkeypatch.setattr(counting, "_count_total", count)
+        monkeypatch.setattr(counting, "_count_value", count)
         with pytest.raises(InterpolationMismatch, match=r"\(1, 0, 1, 1\)"):
             check_polynomial_degree(trivial_structure(4), 3)
 

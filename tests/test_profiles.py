@@ -10,7 +10,9 @@ from isoresidual._linalg import (
     ones_kernel,
     pole_indices,
 )
-from isoresidual.exactarith import GaussianRational
+from isoresidual import exactarith, oracle, profiles
+from isoresidual.counting import count_closed_form
+from isoresidual.exactarith import GaussianRational, scaled_to_gaussian_integers
 from isoresidual.profiles import (
     MAX_ENUMERATED_POLES,
     MAX_POLES,
@@ -43,6 +45,11 @@ def residues(*values):
     return ResidueTuple(tuple(gr(v) for v in values))
 
 
+def half_residues():
+    """(1/2 + i, -1, 1/2 - i): scaled by 2 to the rows (1, -2, 1), (2, 0, -2)."""
+    return ResidueTuple((GaussianRational(Fraction(1, 2), 1), gr(-1), GaussianRational(Fraction(1, 2), -1)))
+
+
 class TestOrderProfile:
     def test_basic(self):
         profile = OrderProfile(4, (2, 2, 1, 1))
@@ -64,8 +71,15 @@ class TestOrderProfile:
 
 class TestResidueTuple:
     def test_sum_must_vanish(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"residues must sum to zero \(got 3\)"):
             residues(1, 1, 1)
+
+    def test_rows_are_derived(self):
+        rho = half_residues()
+        assert rho.rows == ((1, -2, 1), (2, 0, -2))
+        assert "rows" not in repr(rho)
+        again = ResidueTuple(rho.values)
+        assert again == rho and hash(again) == hash(rho) == hash((rho.values,))
 
     def test_subset_sum(self):
         rho = residues(1, -1, 2, -2)
@@ -383,7 +397,16 @@ def test_vanishing_subsets_matches_direct_scan(rho):
     expected = frozenset(
         m for m in range(1, full_mask(rho.n), 2) if rho.subset_sum(m) == gr(0)
     )
-    assert vanishing_subsets(rho).closure == expected
+    assert rho.rows == tuple(zip(*scaled_to_gaussian_integers(rho.values)))
+    assert_structure_by_definition(vanishing_subsets(rho), expected)
+
+
+def assert_structure_by_definition(structure, closure):
+    """The structure has this closure, and its generators and rank are the
+    closure's greedy subfamily by definition."""
+    want = greedy_by_definition(structure.n, closure)
+    assert structure.closure == closure
+    assert (structure.generators, structure.rank) == (want, len(want))
 
 
 @st.composite
@@ -423,9 +446,25 @@ def test_zero_sum_closure_matches_brute_force(values):
         if sum(x for i, x in enumerate(values) if m >> i & 1) == 0
     )
     assert _zero_sum_closure(values) == expected
+    # As residues, up to 16 poles and through the rank n - 1 stop.
+    assert_structure_by_definition(vanishing_subsets(residues(*values)), expected)
 
 
 def test_zero_sum_closure_of_the_zero_tuple_at_max_poles():
     closure = _zero_sum_closure([0] * MAX_POLES)
     assert len(closure) == 2 ** (MAX_POLES - 1) - 1
     assert closure == frozenset(range(1, full_mask(MAX_POLES), 2))
+
+
+def test_residues_are_scaled_once(monkeypatch):
+    rho = half_residues()
+    profile = OrderProfile.from_pole_orders((3, 2, 2))
+    want = count_closed_form(profile, vanishing_subsets(rho)).total
+
+    def refuse(values):
+        raise AssertionError("residues scaled a second time")
+
+    for module in (exactarith, profiles, oracle):
+        monkeypatch.setattr(module, "scaled_to_gaussian_integers", refuse, raising=False)
+    assert vanishing_subsets(rho) == trivial_structure(3)
+    assert oracle.oracle_count(profile, rho) == want
