@@ -3,10 +3,11 @@ bridge from fixed-point multipliers of polynomial maps.
 
 With the zero at infinity and poles pinned at 0, 1 and an unknown p, the
 residues become exact rational functions of p.  Prescribing a residue tuple
-gives two polynomial conditions on p; the number of distinct roots of their
-gcd (away from the degenerate positions 0 and 1) literally counts the
-differentials, with no input from the closed formula.  All of it runs over
-polynomials with Gaussian-integer coefficients, with no division in Q(i).
+asks the residues to be proportional to it; as both sum to zero, one
+proportionality condition implies the other, and the distinct roots of that
+one polynomial g away from the degenerate positions 0 and 1, counted as
+deg g - deg gcd(g, g'), literally count the differentials, with no input from
+the closed formula.  All of it runs over Z[i][p], with no division in Q(i).
 """
 
 from __future__ import annotations
@@ -193,12 +194,14 @@ def oracle_count(profile: OrderProfile, residues: ResidueTuple) -> int:
     """Count differentials directly, with no use of the closed formula.
 
     The zero residue tuple admits no differential and counts 0.  For two
-    poles the normalization is rigid and the count is 1.  For three poles
-    the residue proportionality conditions are eliminated to a single
-    polynomial g in the unknown pole position; factors at the degenerate
-    positions 0 and 1 are stripped and the distinct remaining roots are
-    counted as deg g - deg gcd(g, g').  A repeated root triggers a
-    TransversalityWarning but is still counted once.
+    poles the normalization is rigid and the count is 1.  For three poles,
+    with a the first pole of nonzero residue and j the first other pole,
+    r_a rho_j = r_j rho_a clears to one polynomial g in the unknown position.
+    It implies the condition at the third pole k: r_k = -r_a - r_j and
+    rho_k = -rho_a - rho_j give r_a rho_k - r_k rho_a = -(r_a rho_j - r_j rho_a),
+    and all denominators are +-p^i (p - 1)^l, factors stripped from g.  The
+    distinct roots left count as deg g - deg gcd(g, g'); a repeated root
+    triggers a TransversalityWarning but is still counted once.
     """
     if profile.n not in (2, 3):
         raise ValueError("the elimination oracle handles two or three poles")
@@ -212,20 +215,14 @@ def oracle_count(profile: OrderProfile, residues: ResidueTuple) -> int:
     funcs = residue_functions(profile)
     values = list(zip(*residues.rows))
     anchor = next(i for i in range(3) if values[i] != (0, 0))
-    num_a, den_a = funcs[anchor]
-    elim = []
-    for j in range(3):
-        if j == anchor:
-            continue
-        num_j, den_j = funcs[j]
-        diff = num_a * den_j * values[j] - num_j * den_a * values[anchor]
-        if not diff:
-            raise DegenerateInput(
-                "residue proportionality is identically satisfied; "
-                "the configuration is not rigid"
-            )
-        elim.append(diff)
-    g = Poly.gcd(elim[0], elim[1])
+    j = 1 if anchor == 0 else 0
+    (num_a, den_a), (num_j, den_j) = funcs[anchor], funcs[j]
+    g = num_a * den_j * values[j] - num_j * den_a * values[anchor]
+    if not g:
+        raise DegenerateInput(
+            "residue proportionality is identically satisfied; "
+            "the configuration is not rigid"
+        )
     for root in (Poly.variable(), Poly([-1, 1])):  # p and p - 1
         while g.degree > 0:
             q, r = g.pseudo_divmod(root)

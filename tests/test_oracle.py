@@ -7,7 +7,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoresidual import oracle
+from isoresidual import oracle, verification
 from isoresidual.counting import count_closed_form
 from isoresidual.errors import (
     IndexConstraintViolated,
@@ -50,6 +50,8 @@ def poly(*coeffs):
 
 P = poly(0, 1)
 UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+# Every three-pole order tuple with sum at most 10.
+COMPOSITIONS = [b for b in product(range(1, 9), repeat=3) if sum(b) <= 10]
 
 
 class TestPoly:
@@ -109,7 +111,7 @@ class TestResidueFunctions:
         assert same_fraction(r1, (poly(1), poly(1, -2, 1)))
         assert same_fraction(rp, (poly(1, -2), poly(0, 0, 1, -2, 1)))
 
-    @pytest.mark.parametrize("b", [(1, 1, 1), (2, 1, 1), (1, 3, 2), (2, 2, 2), (4, 1, 3)])
+    @pytest.mark.parametrize("b", COMPOSITIONS)
     def test_residue_theorem(self, b):
         (n0, d0), (n1, d1), (n2, d2) = residue_functions(OrderProfile.from_pole_orders(b))
         assert not n0 * d1 * d2 + n1 * d0 * d2 + n2 * d0 * d1
@@ -117,6 +119,42 @@ class TestResidueFunctions:
     def test_requires_three_poles(self):
         with pytest.raises(ValueError):
             residue_functions(OrderProfile(0, (1, 1)))
+
+
+def _strip_degenerate(g):
+    """g with every factor p and p - 1 divided out."""
+    for root in (P, poly(-1, 1)):
+        while g.degree > 0:
+            q, r = g.pseudo_divmod(root)
+            if r:
+                break
+            g = q
+    return g
+
+
+def test_dropped_eliminant_is_a_unit_multiple():
+    # The two proportionality conditions against the anchor, built as the
+    # two-eliminant oracle built them, on every three-pole case of the
+    # corpus: once p and p - 1 are divided out they agree up to sign, so
+    # the oracle needs only the first.
+    anchors = set()
+    for profile, rho in _corpus():
+        if profile.n != 3:
+            continue
+        funcs = residue_functions(profile)
+        values = list(zip(*rho.rows))
+        anchor = next(i for i in range(3) if values[i] != (0, 0))
+        anchors.add(anchor)
+        num_a, den_a = funcs[anchor]
+        kept, dropped = (
+            _strip_degenerate(
+                num_a * funcs[j][1] * values[j] - funcs[j][0] * den_a * values[anchor]
+            )
+            for j in range(3)
+            if j != anchor
+        )
+        assert dropped in (kept, -kept)
+    assert anchors == {0, 1}
 
 
 class TestOracleCount:
@@ -152,9 +190,11 @@ class TestOracleCount:
         assert oracle_count(profile, residues(0, 1, -1)) == 0
 
     def test_repeated_root_warns_and_counts_once(self, monkeypatch):
-        # Both eliminants share (p - 2)^2, a double root away from 0 and 1.
+        # Residue functions that sum to zero, as real ones do, and whose
+        # eliminant against rho = (1, 1, -2) is (p - 2)^2: a double root
+        # away from 0 and 1.
         double = poly(-2, 1) ** 2
-        funcs = ((Poly(), poly(1)), (double * poly(-3, 1), poly(1)), (double * P, poly(1)))
+        funcs = ((double, poly(1)), (Poly(), poly(1)), (-double, poly(1)))
         monkeypatch.setattr(oracle, "residue_functions", lambda profile: funcs)
         with pytest.warns(TransversalityWarning):
             assert oracle_count(OrderProfile(1, (1, 1, 1)), residues(1, 1, -2)) == 1
@@ -185,6 +225,20 @@ class TestOracleCount:
             )
             == base
         )
+
+
+def test_oracle_sweep_realizes_each_tuple_once(monkeypatch):
+    # No residue tuple of the sweep depends on the order tuple b.
+    calls = []
+
+    def counted(structure, seed):
+        calls.append((structure, seed))
+        return realize_residues(structure, seed)
+
+    monkeypatch.setattr(verification, "realize_residues", counted)
+    result = verification.check_oracle_equivalence(sum_b_max=7, seeds=3)
+    assert len(calls) <= 3 + 3
+    assert (result.checked, result.failure_count) == (213, 0)
 
 
 class TestMultiplierBridge:
