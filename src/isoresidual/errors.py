@@ -26,7 +26,8 @@ class NegativeResult(IsoresidualError, ArithmeticError):
 
 
 class InterpolationMismatch(IsoresidualError, ArithmeticError):
-    """An exact polynomial fit failed to reproduce a held-out evaluation."""
+    """The count on a grid of pole orders has a nonzero Newton coefficient of
+    total degree above n - 2, so it is no polynomial of degree <= n - 2."""
 
 
 class DegenerateInput(IsoresidualError, ValueError):

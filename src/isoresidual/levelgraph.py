@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
-from ._linalg import kernel_contains, kernel_reduce, mask_dot
+from ._linalg import kernel_reduce
 from .counting import count_general
 from .partitions import enumerate_partitions
 from .profiles import (
@@ -37,6 +38,7 @@ from .profiles import (
     canonical_mask,
     full_mask,
     indices_from_mask,
+    induced_on,
     pole_indices,
     structure_from_generators,
     structure_kernel,
@@ -112,21 +114,6 @@ def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[Two
     )
 
 
-def _inherited(pieces: tuple[Mask, ...], kernel) -> VanishingStructure:
-    """Structure on len(pieces) local labels (bit i picks pieces[i]): the
-    canonical local subsets whose union of pieces sums to zero on the whole
-    space the kernel rows span, which is what a generic point of the
-    pieces' sums satisfies.  The pieces are disjoint, so that union is the
-    local mask's dot product with the pieces."""
-    size = len(pieces)
-    qualifying = [
-        local
-        for local in range(1, full_mask(size), 2)  # canonical: contains local 1
-        if kernel_contains(kernel, mask_dot(pieces, local))
-    ]
-    return structure_from_generators(size, qualifying)
-
-
 @dataclass(frozen=True, slots=True)
 class InducedStructures:
     """What a boundary stratum imposes on its pieces.
@@ -158,22 +145,23 @@ def induced_structures(graph: TwoLevelGraph, previous: VanishingStructure) -> In
     blocks vanishes at a generic point of the image exactly when it vanishes
     on all of it, that is on every admissible tuple; and each block outside
     the previous span cuts one row from the kernel, so the image's dimension
-    is the number of rows the blocks cut.
+    is the number of rows the blocks cut.  ``induced_on`` reads off both.
     """
     if graph.n != previous.n:
         raise ValueError("graph and structure disagree on the pole count")
     base = structure_kernel(previous)
     top_kernel = base
-    for block in graph.blocks:
+    for block in graph.blocks[1:]:  # the first is the all-ones vector minus the rest
         top_kernel = kernel_reduce(top_kernel, block)
     # Single-pole components are bubbles and carry no residue moduli.
     tops = tuple(
-        _inherited(tuple(1 << (i - 1) for i in indices_from_mask(block)), top_kernel)
+        induced_on(graph.n, top_kernel, [1 << i for i in pole_indices(block)])
         if block.bit_count() > 1
         else None
         for block in graph.blocks
     )
-    return InducedStructures(tops, _inherited(graph.blocks, base), len(base) - len(top_kernel))
+    bottom = induced_on(graph.n, base, graph.blocks)
+    return InducedStructures(tops, bottom, len(base) - len(top_kernel))
 
 
 class _Stratum(NamedTuple):
@@ -181,7 +169,6 @@ class _Stratum(NamedTuple):
 
     blocks: tuple[tuple[int, ...], ...]  # 0-based pole indices per component
     induced: InducedStructures
-    graph: TwoLevelGraph  # read only by the trace
 
 
 class _Level(NamedTuple):
@@ -202,7 +189,6 @@ def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, 
             _Stratum(
                 tuple(map(pole_indices, graph.blocks)),
                 induced_structures(graph, previous),
-                graph,
             )
             for graph in boundary_graphs(previous, new_subset)
         )
@@ -245,13 +231,12 @@ def count_recursive(
     if structure.is_identically_zero():
         # The zero residue tuple admits no differential.
         return 0
-    if generator_order is None:
-        reached, levels = _program(n, structure.generators)
-    else:
+    generators = structure.generators
+    if generator_order is not None:
         generators = tuple(canonical_mask(g, n) for g in generator_order)
-        reached, levels = _program(n, generators)
-        if reached.closure != structure.closure:
-            raise ValueError("generator_order does not generate the structure")
+    reached, levels = _program(n, generators)
+    if reached.closure != structure.closure:
+        raise ValueError("generator_order does not generate the structure")
 
     # Per profile, only indexing, sums and memoized sub-counts.
     get = profile.b.__getitem__
@@ -259,7 +244,7 @@ def count_recursive(
     for level, (generator, strata) in enumerate(levels, start=1):
         terms = []
         correction = 0
-        for blocks, induced, graph in strata:
+        for blocks, induced in strata:
             orders = [tuple(map(get, block)) for block in blocks]
             sums = tuple(map(sum, orders))
             bottom_count = term = _recursive_total(sums, induced.bottom)
@@ -277,7 +262,7 @@ def count_recursive(
             if trace is not None:
                 terms.append({
                     "blocks": [[i + 1 for i in block] for block in blocks],
-                    "twist": str(twist(graph, profile)),
+                    "twist": str(prod(total - 1 for total in sums)),
                     "bottom_dim": induced.bottom_dim,
                     "factors": [str(bottom_count)] + [f"{t}*{c}" for t, c in top_factors],
                     "term": str(term),

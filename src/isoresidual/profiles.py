@@ -233,6 +233,17 @@ def structure_from_generators(n: int, generators) -> VanishingStructure:
     return VanishingStructure(n, canonical_gens, closure, rank)
 
 
+def induced_on(n: int, kernel: Kernel, pieces) -> VanishingStructure:
+    """Structure the kernel's span induces on disjoint pole subsets, on
+    len(pieces) local labels (bit i picks pieces[i]): the zero-sum subsets
+    of the pieces' packed sums.  Packing is linear and a row's radix bounds
+    every subset's dot product, so a union of pieces sums to zero exactly
+    when it lies in the span."""
+    packed = _packed_rows(n, kernel)
+    sums = [mask_dot(packed, piece) for piece in pieces]
+    return structure_from_generators(len(sums), _zero_sum_closure(sums))
+
+
 def structure_kernel(structure: VanishingStructure) -> Kernel:
     """Integer basis of the residue tuples satisfying the structure (the
     orthogonal complement of the generators plus the total sum)."""

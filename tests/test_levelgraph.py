@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -26,6 +27,7 @@ from isoresidual.profiles import (
     full_mask,
     identically_zero_structure,
     indices_from_mask,
+    mask_from_indices,
     structure_from_generators,
     structure_kernel,
     trivial_structure,
@@ -246,6 +248,28 @@ def induced_by_images(graph, previous):
     return bottom, bottom_dim, tuple(tops)
 
 
+def scanned_top_closures(graph, previous):
+    """Each top's closure by testing every canonical local mask against
+    the kernel that the block sums cut, with no zero-sum finder."""
+    top_kernel = structure_kernel(previous)
+    for block in graph.blocks:
+        top_kernel = kernel_reduce(top_kernel, block)
+    closures = []
+    for block in graph.blocks:
+        poles = indices_from_mask(block)
+        if len(poles) == 1:
+            closures.append(None)
+            continue
+        closures.append(frozenset(
+            local
+            for local in range(1, full_mask(len(poles)), 2)
+            if kernel_contains(
+                top_kernel, sum(1 << (p - 1) for j, p in enumerate(poles) if local >> j & 1)
+            )
+        ))
+    return closures
+
+
 class TestInducedByImages:
     def test_every_stratum_up_to_five_poles(self):
         pairs = 0
@@ -263,6 +287,42 @@ class TestInducedByImages:
                     )
                     pairs += 1
         assert pairs == 6241  # 5967 of them at five poles
+
+    def test_tops_of_five_or_more_poles(self):
+        # From a top of five poles on, the zero-sum finder's high half holds
+        # two poles or more, which no stratum up to five poles reaches.  The
+        # reference builds its structures through that finder too, so each
+        # top's closure is also checked against a scan of its local masks.
+        pairs = 0
+        for n in range(6, 9):
+            rng = random.Random(n)
+            structures = [
+                structure_from_generators(
+                    n, [rng.randrange(1, full_mask(n), 2) for _ in range(rank)]
+                )
+                for rank in (1, 2, 3)
+            ]
+            for _ in range(2):  # integer residues in [-2, 2]: many coincident sums
+                values = [rng.randint(-2, 2) for _ in range(n - 1)]
+                structures.append(vanishing_subsets(ResidueTuple(
+                    tuple(GaussianRational(Fraction(x)) for x in values + [-sum(values)])
+                )))
+            for previous in structures:
+                for blocks in iter_set_partitions(full_mask(n)):
+                    if len(blocks) < 2 or max(b.bit_count() for b in blocks) < 5:
+                        continue
+                    graph = TwoLevelGraph(n, blocks)
+                    induced = induced_structures.__wrapped__(graph, previous)
+                    got = (induced.bottom, induced.bottom_dim, induced.tops)
+                    assert got == induced_by_images(graph, previous), (
+                        [indices_from_mask(g) for g in previous.generators],
+                        [indices_from_mask(b) for b in blocks],
+                    )
+                    assert [top and top.closure for top in induced.tops] == scanned_top_closures(
+                        graph, previous
+                    )
+                    pairs += 1
+        assert pairs == 5 * (6 + 49 + 344)
 
 
 class TestCountRecursive:
@@ -324,6 +384,20 @@ class TestCountRecursive:
                 assert [level["level"] for level in trace] == list(range(1, structure.rank + 1))
                 if trace:
                     assert trace[-1]["running_total"] == str(total)
+
+    def test_trace_twist_is_the_graph_twist(self):
+        for n in range(2, 6):
+            profiles = [
+                OrderProfile.from_pole_orders(b)
+                for b in ((1,) * n, tuple(1 + i % 2 for i in range(n)), (3,) + (1,) * (n - 1))
+            ]
+            for structure in all_vanishing_structures(n):
+                for profile in profiles:
+                    trace = []
+                    count_recursive(profile, structure, trace=trace)
+                    for term in (t for level in trace for t in level["terms"]):
+                        blocks = tuple(mask_from_indices(b, n) for b in term["blocks"])
+                        assert term["twist"] == str(twist(TwoLevelGraph(n, blocks), profile))
 
     def test_trace_is_json_ready(self):
         trace = []
