@@ -142,7 +142,8 @@ class VanishingStructure:
     all-ones vector; generators is the deterministic greedy independent
     subset of the closure (ordered by cardinality, then by bitmask value);
     rank == len(generators) <= n - 1.  The closure fixes the generators and
-    the rank, so a structure compares and hashes on (n, closure) alone.
+    the rank, so a structure compares and hashes on (n, closure) alone, and
+    the structures built from one generator set are one shared frozen object.
     """
 
     n: int
@@ -209,28 +210,26 @@ def _greedy_generators(n: int, closure, rank: int) -> tuple[Mask, ...]:
 
 
 @lru_cache(maxsize=None)
-def _span_closure(n: int, gens: frozenset) -> tuple[frozenset, tuple, int, Kernel]:
-    """Closure, canonical generators, rank and kernel of a generator set.
-    The closure is the zero-sum subsets of the packed kernel rows, met in
-    the middle, not a test of every canonical mask."""
+def _span_closure(n: int, gens: frozenset) -> tuple[VanishingStructure, Kernel]:
+    """The structure a generator set spans, and its kernel.  The closure is
+    the packed kernel rows' zero-sum subsets, met in the middle."""
     kernel = ones_kernel(n)
     for mask in gens:
         kernel = kernel_reduce(kernel, mask)
     closure = _zero_sum_closure(_packed_rows(n, kernel))
     rank = n - 1 - len(kernel)
-    return closure, _greedy_generators(n, closure, rank), rank, kernel
+    return VanishingStructure(n, _greedy_generators(n, closure, rank), closure, rank), kernel
 
 
 def structure_from_generators(n: int, generators) -> VanishingStructure:
     """Span closure of the given subsets (in either representative).
 
     Dependent generators are dropped; the stored generator list is the
-    canonical greedy one, so structures with equal closures compare equal.
+    canonical greedy one, so structures with equal closures compare equal;
+    every call on one generator set returns the same cached object.
     """
     _check_n(n)
-    gens = frozenset(canonical_mask(m, n) for m in generators)
-    closure, canonical_gens, rank, _ = _span_closure(n, gens)
-    return VanishingStructure(n, canonical_gens, closure, rank)
+    return _span_closure(n, frozenset(canonical_mask(m, n) for m in generators))[0]
 
 
 def induced_on(n: int, kernel: Kernel, pieces) -> VanishingStructure:
@@ -247,7 +246,7 @@ def induced_on(n: int, kernel: Kernel, pieces) -> VanishingStructure:
 def structure_kernel(structure: VanishingStructure) -> Kernel:
     """Integer basis of the residue tuples satisfying the structure (the
     orthogonal complement of the generators plus the total sum)."""
-    return _span_closure(structure.n, frozenset(structure.generators))[3]
+    return _span_closure(structure.n, frozenset(structure.generators))[1]
 
 
 def trivial_structure(n: int) -> VanishingStructure:

@@ -478,3 +478,49 @@ class TestRecursionStandsAlone:
         got = count_recursive(profile, structure)
         assert time.perf_counter() - start < 1
         assert got == count_closed_form(profile, structure).total
+
+
+def dense_chain(n):
+    """Orders 2, ..., 2, 1, 1 and the singleton vanishings 1..n-2: every
+    residue but the last two is zero, rank n - 2, one short of the zero
+    tuple."""
+    profile = OrderProfile.from_pole_orders((2,) * (n - 2) + (1, 1))
+    return profile, structure_from_generators(n, [1 << i for i in range(n - 2)])
+
+
+class TestOneStructurePerSpan:
+    def test_every_path_shares_the_cached_structure(self):
+        assert structure_from_generators(4, [0b0011]) is structure_from_generators(4, [0b1100])
+        assert trivial_structure(6) is trivial_structure(6)
+        _, structure = dense_chain(8)
+        _, levels = levelgraph._program(8, structure.generators)
+        induced = [stratum.induced for level in levels for stratum in level.strata]
+        shared = [s for i in induced for s in (i.bottom, *i.tops) if s is not None]
+        assert len(induced) == 876 and len(shared) > len(induced)
+        for s in shared:
+            assert s is structure_from_generators(s.n, s.closure)
+
+
+class TestRecursionPastSixPoles:
+    """The recursion against the closed form beyond the structures
+    all_vanishing_structures enumerates."""
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_dense_chain(self, n):
+        profile, structure = dense_chain(n)
+        assert count_recursive(profile, structure) == count_closed_form(profile, structure).total
+
+    # Seeds whose residues give ranks 5 to 8 and nonzero counts.
+    @pytest.mark.parametrize("n, seed", [
+        (9, 2), (9, 6), (9, 14), (9, 38), (10, 1), (10, 2), (10, 9), (10, 14),
+    ])
+    def test_seeded_integer_residues(self, n, seed):
+        rng = random.Random(seed)
+        values = [rng.randint(-3, 3) for _ in range(n - 1)]
+        structure = vanishing_subsets(ResidueTuple(
+            tuple(GaussianRational(Fraction(x)) for x in values + [-sum(values)])
+        ))
+        profile = OrderProfile.from_pole_orders(tuple(rng.randint(1, 3) for _ in range(n)))
+        assert 5 <= structure.rank <= 8
+        want = count_closed_form(profile, structure).total
+        assert want and count_recursive(profile, structure) == want
