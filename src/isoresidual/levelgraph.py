@@ -14,11 +14,15 @@ falling_f(a, n).  The final value must agree with the closed form, with
 which the recursion shares only the zero-sum partitions.
 
 None of this depends on the pole orders, so it is worked out once per
-generator sequence: ``_program`` compiles each level's strata, their blocks
-as 0-based pole-index tuples with the bottom and top structures they
-induce.  A profile then runs one loop over the program that only reads its
-orders at those indices, sums them and looks up memoized sub-counts; the
-same loop fills the trace when one is asked for.
+generator sequence: ``_program`` extends its prefix's program by one level
+of strata, their blocks as 0-based pole-index tuples with the structures
+they induce.  Every stratum is rigid, so those are read per level, not per
+stratum: a top is V_k on its block's poles, cached per (V_k, block), and
+the bottom is the zero-sum structure of the one node vector that the block
+sums of V_{k-1}'s kernel rows span, cached per vector.  A profile then runs
+one loop over the program that only reads its orders at those indices, sums
+them and looks up memoized sub-counts; the same loop fills the trace when
+one is asked for.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
-from ._linalg import kernel_reduce
+from ._linalg import _normalize, kernel_reduce, mask_dot
 from .counting import count_general
 from .partitions import enumerate_partitions
 from .profiles import (
@@ -177,24 +181,38 @@ class _Level(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def _top(current: VanishingStructure, block: Mask) -> VanishingStructure:
+    """What V_k induces on one block's poles: the top of that block in every
+    rigid stratum of a step to V_k, whose block sums span V_k."""
+    return induced_on(current.n, structure_kernel(current), [1 << i for i in pole_indices(block)])
+
+
+@lru_cache(maxsize=None)
+def _bottom(node: tuple[int, ...]) -> VanishingStructure:
+    """The zero-sum structure of a primitive node residue vector."""
+    return induced_on(len(node), (node,), [1 << i for i in range(len(node))])
+
+
+@lru_cache(maxsize=None)
 def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, tuple[_Level, ...]]:
     """The recursion for one generator sequence, worked out once and shared
     by every order profile: the structure the sequence reaches, and each
-    level's strata with the structures they induce.  A dependent generator
-    raises ValueError."""
-    previous = trivial_structure(n)
-    levels = []
-    for new_subset in generators:
-        strata = tuple(
-            _Stratum(
-                tuple(map(pole_indices, graph.blocks)),
-                induced_structures(graph, previous),
-            )
-            for graph in boundary_graphs(previous, new_subset)
-        )
-        levels.append(_Level(indices_from_mask(new_subset), strata))
-        previous = structure_from_generators(n, previous.generators + (new_subset,))
-    return previous, tuple(levels)
+    level's strata with the structures they induce, the levels of its prefix
+    shared.  A dependent generator raises ValueError."""
+    if not generators:
+        return trivial_structure(n), ()
+    previous, levels = _program(n, generators[:-1])
+    new_subset = generators[-1]
+    current = structure_from_generators(n, previous.generators + (new_subset,))
+    base = structure_kernel(previous)
+    strata = []
+    for graph in boundary_graphs(previous, new_subset):
+        blocks = graph.blocks
+        images = ([mask_dot(row, block) for block in blocks] for row in base)
+        tops = tuple(_top(current, b) if b.bit_count() > 1 else None for b in blocks)
+        bottom = _bottom(_normalize(next(filter(any, images))))
+        strata.append(_Stratum(tuple(map(pole_indices, blocks)), InducedStructures(tops, bottom, 1)))
+    return current, levels + (_Level(indices_from_mask(new_subset), tuple(strata)),)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -228,15 +246,17 @@ def count_recursive(
     if profile.n != structure.n:
         raise ValueError("profile and structure disagree on the pole count")
     n = profile.n
-    if structure.is_identically_zero():
-        # The zero residue tuple admits no differential.
-        return 0
     generators = structure.generators
     if generator_order is not None:
         generators = tuple(canonical_mask(g, n) for g in generator_order)
-    reached, levels = _program(n, generators)
-    if reached.closure != structure.closure:
-        raise ValueError("generator_order does not generate the structure")
+        if structure_from_generators(n, generators).closure != structure.closure:
+            raise ValueError("generator_order does not generate the structure")
+        if len(generators) != structure.rank:
+            raise ValueError("a condition of generator_order already holds")
+    if structure.is_identically_zero():
+        # The zero residue tuple admits no differential.
+        return 0
+    _, levels = _program(n, generators)
 
     # Per profile, only indexing, sums and memoized sub-counts.
     get = profile.b.__getitem__

@@ -18,7 +18,7 @@ from isoresidual.levelgraph import (
     induced_structures,
     twist,
 )
-from isoresidual.partitions import iter_set_partitions
+from isoresidual.partitions import iter_set_partitions, zero_sum_plan
 from isoresidual.profiles import (
     OrderProfile,
     ResidueTuple,
@@ -135,6 +135,25 @@ class TestBoundaryGraphs:
             for k in range(s.rank)
         }
         assert_strata_match(steps)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_strata_count_is_the_plan_count_difference(self, n):
+        # |P(V_k)| - |P(V_{k-1})| over the zero-sum partitions P: the
+        # one-part partition is in both, and every other new one is a stratum.
+        def partition_count(structure):
+            return sum(count for _, count in zero_sum_plan(structure).counts)
+
+        steps = {
+            (structure_from_generators(n, s.generators[:k]), s.generators[k])
+            for s in all_vanishing_structures(n)
+            for k in range(s.rank)
+        }
+        for previous, new_subset in steps:
+            current = structure_from_generators(n, previous.generators + (new_subset,))
+            assert len(boundary_graphs(previous, new_subset)) == (
+                partition_count(current) - partition_count(previous)
+            )
+        assert len(steps) == {2: 1, 3: 4, 4: 17, 5: 116, 6: 1787}[n]  # 1925 in all
 
     @pytest.mark.parametrize("n", range(3, 6))
     def test_every_generator_order_matches_the_walk(self, n):
@@ -367,9 +386,24 @@ class TestCountRecursive:
         with pytest.raises(ValueError):
             count_recursive(MU_4, structure, generator_order=(0b0011, 0b0101, 0b0001))
         # A dependent condition ({2,4} is the complement of {1,3}) is
-        # refused when the program is built.
+        # refused before any program is built.
         with pytest.raises(ValueError, match="already hold"):
             count_recursive(MU_4, structure, generator_order=(0b0011, 0b0101, 0b1010))
+
+    def test_order_is_checked_before_the_zero_structure_counts_zero(self):
+        profile = OrderProfile.from_pole_orders((2, 2, 2, 2))
+        zero = identically_zero_structure(4)
+        with pytest.raises(ValueError, match="does not generate"):
+            count_recursive(profile, zero, generator_order=(0b0011,))
+        assert count_recursive(profile, zero, generator_order=(0b0100, 0b0011, 0b0101)) == 0
+
+    def test_a_refused_order_compiles_no_program(self):
+        structure = structure_from_generators(5, [0b00011, 0b00101])
+        misses = levelgraph._program.cache_info().misses
+        for order in ((0b00011,), (0b00011, 0b00101, 0b11000), (0b00011, 0b00101, 0b00110)):
+            with pytest.raises(ValueError):
+                count_recursive(OrderProfile.from_pole_orders((2,) * 5), structure, generator_order=order)
+        assert levelgraph._program.cache_info().misses == misses
 
     def test_trace_does_not_change_the_total(self):
         profiles = [OrderProfile.from_pole_orders(b) for b in ((2, 1, 3, 1, 2), (1, 1, 1, 1, 1))]
@@ -421,12 +455,35 @@ class TestProgramOncePerStructure:
     STRUCTURE = structure_from_generators(5, [0b00011, 0b00101])
 
     def test_a_second_profile_adds_no_cache_miss(self):
+        compiled = (levelgraph._program, levelgraph._top, levelgraph._bottom)
+        # Cleared first, so the first profile compiles what it reads.
+        for cache in compiled + (levelgraph._recursive_total,):
+            cache.cache_clear()
         count_recursive(OrderProfile.from_pole_orders((2, 2, 2, 2, 2)), self.STRUCTURE)
         graphs = boundary_graphs.cache_info().misses
         induced = induced_structures.cache_info().misses
+        misses = [cache.cache_info().misses for cache in compiled]
+        assert all(misses)
         count_recursive(OrderProfile.from_pole_orders((3, 2, 4, 2, 5)), self.STRUCTURE)
         assert boundary_graphs.cache_info().misses == graphs
         assert induced_structures.cache_info().misses == induced
+        assert [cache.cache_info().misses for cache in compiled] == misses
+
+    def test_a_program_extends_its_prefix(self):
+        # Every canonical sequence up to five poles, every order of a
+        # rank-3 structure, and the dense chain at eight poles.
+        sequences = [(n, s.generators) for n in range(2, 6) for s in all_vanishing_structures(n)]
+        rank_three = structure_from_generators(5, [0b00001, 0b00011, 0b00101])
+        sequences += [(5, order) for order in permutations(rank_three.generators)]
+        sequences.append((8, dense_chain(8)[1].generators))
+        for n, generators in sequences:
+            if not generators:
+                continue
+            reached, levels = levelgraph._program(n, generators)
+            prefix_reached, prefix = levelgraph._program(n, generators[:-1])
+            assert len(levels) == len(prefix) + 1
+            assert all(level is shared for level, shared in zip(levels, prefix))
+            assert reached is structure_from_generators(n, prefix_reached.generators + generators[-1:])
 
     def test_a_second_profile_does_no_mask_work(self, monkeypatch):
         # Orders >= 2 make every term nonzero, so the first profile builds
@@ -499,6 +556,41 @@ class TestOneStructurePerSpan:
         assert len(induced) == 876 and len(shared) > len(induced)
         for s in shared:
             assert s is structure_from_generators(s.n, s.closure)
+
+
+def assert_program_matches_the_reference(n, generators):
+    """Every stratum of the program: its tops and bottom are the very
+    objects the general induced_structures gives, whose bottom_dim is 1."""
+    _, levels = levelgraph._program(n, generators)
+    strata = 0
+    for k, level in enumerate(levels):
+        previous = levelgraph._program(n, generators[:k])[0]
+        for blocks, induced in level.strata:
+            graph = TwoLevelGraph(n, tuple(sum(1 << i for i in block) for block in blocks))
+            # Unwrapped, so the reference fills no cache of its own.
+            want = induced_structures.__wrapped__(graph, previous)
+            assert want.bottom_dim == induced.bottom_dim == 1
+            assert induced.bottom is want.bottom
+            assert len(induced.tops) == len(want.tops)
+            assert all(top is ref for top, ref in zip(induced.tops, want.tops)), (
+                [indices_from_mask(g) for g in generators[:k + 1]], blocks
+            )
+            strata += 1
+    return strata
+
+
+class TestProgramAgainstInducedStructures:
+    def test_every_structure_up_to_five_poles(self):
+        strata = sum(
+            assert_program_matches_the_reference(n, structure.generators)
+            for n in range(2, 6)
+            for structure in all_vanishing_structures(n)
+        )
+        assert strata == 590
+
+    def test_dense_chain_at_eight_poles(self):
+        _, structure = dense_chain(8)
+        assert assert_program_matches_the_reference(8, structure.generators) == 876
 
 
 class TestRecursionPastSixPoles:
