@@ -255,11 +255,11 @@ def _listing_text(structure: VanishingStructure) -> dict[int, str]:
     plan = zero_sum_plan(structure)
     names = {part: ", " + _report_json(list(indices_from_mask(part))) for part in plan.parts}
     tails: dict[int, dict[int, str]] = {0: {0: ""}}
-    for remaining, out in plan.moves.items():
+    for remaining, parts in plan.moves.items():
         by_count: dict[int, list[str]] = {}
-        for part, rest in out:  # in increasing order of the part
+        for part in parts:  # in increasing order
             head = names[part]
-            for count, text in tails[rest].items():
+            for count, text in tails[remaining ^ part].items():
                 by_count.setdefault(count + 1, []).append(
                     head + text.replace("\n", "\n" + head)
                 )

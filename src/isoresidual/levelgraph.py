@@ -18,11 +18,11 @@ generator sequence: ``_program`` extends its prefix's program by one level
 of strata, their blocks as 0-based pole-index tuples with the structures
 they induce.  Every stratum is rigid, so those are read per level, not per
 stratum: a top is V_k on its block's poles, cached per (V_k, block), and
-the bottom is the zero-sum structure of the one node vector that the block
-sums of V_{k-1}'s kernel rows span, cached per vector.  A profile then runs
-one loop over the program that only reads its orders at those indices, sums
-them and looks up memoized sub-counts; the same loop fills the trace when
-one is asked for.
+the bottom is the zero-sum structure of the node vector, the block sums of
+the level's pivot row of V_{k-1}'s kernel, cached per vector.  A profile
+then runs one loop over the program that only reads its orders at those
+indices, sums them and looks up memoized sub-counts; the same loop fills the
+trace when one is asked for.
 """
 
 from __future__ import annotations
@@ -204,13 +204,14 @@ def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, 
     previous, levels = _program(n, generators[:-1])
     new_subset = generators[-1]
     current = structure_from_generators(n, previous.generators + (new_subset,))
-    base = structure_kernel(previous)
+    # The level's pivot row, which kernel_reduce eliminates: the rows before it
+    # lie in V_k's kernel, so a rigid stratum's node vector is its block sums.
+    pivot = next((row for row in structure_kernel(previous) if mask_dot(row, new_subset)), None)
     strata = []
     for graph in boundary_graphs(previous, new_subset):
         blocks = graph.blocks
-        images = ([mask_dot(row, block) for block in blocks] for row in base)
         tops = tuple(_top(current, b) if b.bit_count() > 1 else None for b in blocks)
-        bottom = _bottom(_normalize(next(filter(any, images))))
+        bottom = _bottom(_normalize([mask_dot(pivot, block) for block in blocks]))
         strata.append(_Stratum(tuple(map(pole_indices, blocks)), InducedStructures(tops, bottom, 1)))
     return current, levels + (_Level(indices_from_mask(new_subset), tuple(strata)),)
 

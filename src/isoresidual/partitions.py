@@ -11,14 +11,15 @@ works out once per structure which remaining sets this reaches and the moves
 out of each, so a sum over all partitions is a dynamic programme over those
 sets (the set-partition recursion of Bjorklund, Husfeldt and Koivisto, *Set
 partitioning via inclusion-exclusion*, SIAM J. Comput. 2009), and only a
-listing visits each partition.  A remaining set's moves cost the fewer of
-its lowest pole's qualifying masks and its 2^(|R|-1) submasks that hold
-that pole, so a sparse structure's plan grows with its closure, not with
-2^n.
+listing visits each partition.  A move is the part it removes, leading to
+``remaining ^ part``, and a set's moves are one 16-bit ``array('H')``.  They
+cost the fewer of its lowest pole's qualifying masks and its 2^(|R|-1)
+submasks that hold that pole, so a sparse plan grows with its closure, not 2^n.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,13 +61,13 @@ def _qualifying_masks(structure: VanishingStructure) -> frozenset:
 class ZeroSumPlan:
     """The nonempty pole sets left over on the way to a zero-sum partition,
     children first (a child is a proper subset, so a smaller mask).  Each
-    maps to its moves, ``(part, remaining ^ part)`` for every qualifying part
-    of it that holds its lowest pole, in increasing order of the part.
-    Building it costs, per reachable set, the shorter of two candidate
-    lists: the qualifying masks with the same lowest pole, or the set's
-    submasks that hold that pole."""
+    maps to its moves as one ``array('H')``: every qualifying part of it that
+    holds its lowest pole, in increasing order, each leading to the set
+    ``remaining ^ part``.  Building it costs, per reachable set, the shorter
+    of two candidate lists: the qualifying masks with the same lowest pole,
+    or the set's submasks that hold that pole."""
 
-    moves: dict[Mask, tuple[tuple[Mask, Mask], ...]]
+    moves: dict[Mask, array]
     parts: tuple[Mask, ...]  # every part some move removes
     counts: tuple[tuple[int, int], ...]  # (s, partitions into s parts), s ascending
 
@@ -75,11 +76,11 @@ def sums_by_part_count(moves, weight) -> list[int]:
     """Entry s: the sum, over the zero-sum partitions of the whole pole set
     into s parts, of the product of ``weight[part]`` over their parts."""
     sums = {0: [1]}
-    for remaining, out in moves.items():
+    for remaining, parts in moves.items():
         acc = [0] * (remaining.bit_count() + 1)
-        for part, rest in out:
+        for part in parts:
             w = weight[part]
-            for s, value in enumerate(sums[rest], 1):
+            for s, value in enumerate(sums[remaining ^ part], 1):
                 acc[s] += w * value
         sums[remaining] = acc
     return acc  # the whole pole set comes last
@@ -97,7 +98,7 @@ def zero_sum_plan(structure: VanishingStructure) -> ZeroSumPlan:
     by_pivot: dict[Mask, list[Mask]] = {}
     for mask in sorted(qualifying):
         by_pivot.setdefault(mask & -mask, []).append(mask)
-    found: dict[Mask, tuple[tuple[Mask, Mask], ...]] = {}
+    found: dict[Mask, array] = {}
     stack = [full_mask(structure.n)]
     while stack:
         remaining = stack.pop()
@@ -106,11 +107,7 @@ def zero_sum_plan(structure: VanishingStructure) -> ZeroSumPlan:
         pivot = remaining & -remaining
         group = by_pivot[pivot]
         if len(group) < 1 << (remaining.bit_count() - 1):
-            out = [
-                (part, remaining ^ part)
-                for part in group
-                if part | remaining == remaining
-            ]
+            out = [part for part in group if part | remaining == remaining]
         else:
             # The walk, inline: listing every submask first and filtering
             # that list was about 10% slower on dense structures.
@@ -120,28 +117,29 @@ def zero_sum_plan(structure: VanishingStructure) -> ZeroSumPlan:
             while True:
                 part = pivot | sub
                 if part in qualifying:
-                    out.append((part, remaining ^ part))
+                    out.append(part)
                 sub = (sub - rest) & rest  # the next submask of rest up
                 if not sub:
                     break
-        found[remaining] = tuple(out)
-        stack.extend(child for _, child in out)
+        found[remaining] = array("H", out)
+        stack.extend(remaining ^ part for part in out)
     moves = {remaining: found[remaining] for remaining in sorted(found)}
-    parts = tuple(sorted({part for out in moves.values() for part, _ in out}))
+    parts = tuple(sorted(set().union(*moves.values())))
     by_s = sums_by_part_count(moves, dict.fromkeys(parts, 1))
     return ZeroSumPlan(moves, parts, tuple((s, c) for s, c in enumerate(by_s) if c))
 
 
 @lru_cache(maxsize=_CACHED_STRUCTURES)
 def _partitions_by_size(structure: VanishingStructure):
-    moves = zero_sum_plan(structure).moves
+    # Parts boxed once per move, not once per partition, so partitions share
+    # them; moves in increasing order of the part list the partitions sorted.
+    moves = {remaining: tuple(parts) for remaining, parts in zero_sum_plan(structure).moves.items()}
 
-    # Moves in increasing order of the part list the partitions sorted.
     def expand(remaining: Mask) -> list[ZeroSumPartition]:
         if not remaining:
             return [()]
         return [
-            (part,) + tail for part, rest in moves[remaining] for tail in expand(rest)
+            (part,) + tail for part in moves[remaining] for tail in expand(remaining ^ part)
         ]
 
     by_size: dict[int, list[ZeroSumPartition]] = {}

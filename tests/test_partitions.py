@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -187,7 +188,8 @@ class TestListingText:
 def reference_plan(structure):
     """The plan's moves, parts and counts by the plain walk over every
     submask that holds the lowest remaining pole, counting partitions by a
-    memoized recursion of its own."""
+    memoized recursion of its own.  A set's moves are its parts, each
+    leading to ``remaining ^ part``."""
     full = full_mask(structure.n)
     qualifying = {full} | structure.closure | {m ^ full for m in structure.closure}
     moves = {}
@@ -206,7 +208,7 @@ def reference_plan(structure):
             if not sub:
                 break
             sub = (sub - 1) & rest
-        moves[remaining] = tuple((part, remaining ^ part) for part in sorted(found))
+        moves[remaining] = tuple(sorted(found))
         stack.extend(remaining ^ part for part in found)
     moves = dict(sorted(moves.items()))
 
@@ -215,12 +217,12 @@ def reference_plan(structure):
         if not remaining:
             return {0: 1}
         counts = {}
-        for _, rest in moves[remaining]:
-            for s, c in by_parts(rest).items():
+        for part in moves[remaining]:
+            for s, c in by_parts(remaining ^ part).items():
                 counts[s + 1] = counts.get(s + 1, 0) + c
         return counts
 
-    parts = tuple(sorted({part for out in moves.values() for part, _ in out}))
+    parts = tuple(sorted({part for out in moves.values() for part in out}))
     return moves, parts, tuple(sorted(by_parts(full).items()))
 
 
@@ -250,7 +252,8 @@ class TestZeroSumPlan:
     def assert_plan(structure):
         plan = zero_sum_plan(structure)
         moves, parts, counts = reference_plan(structure)
-        assert list(plan.moves.items()) == list(moves.items())
+        assert {out.typecode for out in plan.moves.values()} == {"H"}
+        assert [(r, tuple(out)) for r, out in plan.moves.items()] == list(moves.items())
         assert plan.parts == parts
         assert plan.counts == counts
 
@@ -272,3 +275,21 @@ class TestZeroSumPlan:
         assert {structure.rank for structure in structures} == set(range(5))
         for structure in structures:
             self.assert_plan(structure)
+            # The whole pole set always qualifies; at n = 16 it is the top
+            # of the 16-bit range the moves are stored in.
+            full = full_mask(structure.n)
+            assert full in zero_sum_plan(structure).moves[full]
+
+    def test_plan_holds_under_16_bytes_per_move(self):
+        # One array('H') of parts per set: 2 bytes a move plus a header.
+        structure = identically_zero_structure(12)
+        zero_sum_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            plan = zero_sum_plan(structure)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        moves = sum(map(len, plan.moves.values()))
+        assert (len(plan.moves), moves) == (2048, 90621)
+        assert held < 16 * moves
