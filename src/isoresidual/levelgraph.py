@@ -28,7 +28,7 @@ trace when one is asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -207,12 +207,15 @@ def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, 
     # The level's pivot row, which kernel_reduce eliminates: the rows before it
     # lie in V_k's kernel, so a rigid stratum's node vector is its block sums.
     pivot = next((row for row in structure_kernel(previous) if mask_dot(row, new_subset)), None)
+    # Strata share blocks and node vectors: each is resolved once per level.
+    top = cache(lambda block: _top(current, block) if block.bit_count() > 1 else None)
+    dot = cache(lambda block: mask_dot(pivot, block))
+    bottom = cache(lambda node: _bottom(_normalize(node)))
     strata = []
     for graph in boundary_graphs(previous, new_subset):
         blocks = graph.blocks
-        tops = tuple(_top(current, b) if b.bit_count() > 1 else None for b in blocks)
-        bottom = _bottom(_normalize([mask_dot(pivot, block) for block in blocks]))
-        strata.append(_Stratum(tuple(map(pole_indices, blocks)), InducedStructures(tops, bottom, 1)))
+        induced = InducedStructures(tuple(map(top, blocks)), bottom(tuple(map(dot, blocks))), 1)
+        strata.append(_Stratum(tuple(map(pole_indices, blocks)), induced))
     return current, levels + (_Level(indices_from_mask(new_subset), tuple(strata)),)
 
 

@@ -8,6 +8,12 @@ proportionality condition implies the other, and the distinct roots of that
 one polynomial g away from the degenerate positions 0 and 1, counted as
 deg g - deg gcd(g, g'), literally count the differentials, with no input from
 the closed formula.  All of it runs over Z[i][p], with no division in Q(i).
+
+Of the work that builds g, only two scalar products depend on the residue
+tuple; the polynomial products they scale are built once per (profile,
+anchor).  The factor p is stripped from g by dropping its zero constant
+coefficients, and p - 1 by synthetic division for as long as the
+coefficients sum to zero.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd
 
 from .counting import count_closed_form
@@ -43,7 +50,10 @@ class Poly:
     """Dense univariate polynomial over the Gaussian integers Z[i].
 
     Coefficients are ascending (re, im) int pairs; an int c given to the
-    constructor or as a scalar factor stands for (c, 0).
+    constructor or as a scalar factor stands for (c, 0).  The constructor
+    normalizes what it is given; the operations build their results in
+    normal form already (Z[i] has no zero divisors, so only a sum or a
+    remainder can end in (0, 0)) and skip it.
     """
 
     __slots__ = ("coeffs",)
@@ -77,27 +87,31 @@ class Poly:
             a, b = b, a
         out = list(a)
         for i, (re, im) in enumerate(b):
-            out[i] = (out[i][0] + re, out[i][1] + im)
-        return Poly(out)
+            ar, ai = out[i]
+            out[i] = (ar + re, ai + im)
+        return _trimmed(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly([(-re, -im) for re, im in self.coeffs])
+        return _wrap(tuple([(-re, -im) for re, im in self.coeffs]))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             sr, si = (other, 0) if isinstance(other, int) else other
-            return Poly([(re * sr - im * si, re * si + im * sr) for re, im in self.coeffs])
+            if not (sr or si):
+                return _wrap(())
+            return _wrap(tuple([(re * sr - im * si, re * si + im * sr) for re, im in self.coeffs]))
         if not self.coeffs or not other.coeffs:
-            return Poly()
-        out = [(0, 0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return _wrap(())
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        out_re, out_im = [0] * size, [0] * size
         for i, (ar, ai) in enumerate(self.coeffs):
-            for j, (br, bi) in enumerate(other.coeffs):
-                re, im = out[i + j]
-                out[i + j] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
-        return Poly(out)
+            for k, (br, bi) in enumerate(other.coeffs, start=i):
+                out_re[k] += ar * br - ai * bi
+                out_im[k] += ar * bi + ai * br
+        return _wrap(tuple(zip(out_re, out_im)))
 
     __rmul__ = __mul__
 
@@ -113,7 +127,7 @@ class Poly:
         return out
 
     def derivative(self) -> "Poly":
-        return Poly([(k * re, k * im) for k, (re, im) in enumerate(self.coeffs)][1:])
+        return _wrap(tuple([(k * re, k * im) for k, (re, im) in enumerate(self.coeffs) if k]))
 
     def pseudo_divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """(q, r) with lead**k * self == q * other + r and deg r < deg other,
@@ -136,14 +150,15 @@ class Poly:
             for i, (dr, di) in enumerate(den, start=shift):
                 re, im = rem[i]
                 rem[i] = (re - cr * dr + ci * di, im - cr * di - ci * dr)
-        return Poly(quot), Poly(rem)
+        # The top of quot is self's leading coefficient times a power of lead.
+        return _wrap(tuple(quot)), _trimmed(rem)
 
     def primitive(self) -> "Poly":
         """Self divided by the gcd of all its integer coefficient parts."""
         content = gcd(*(x for c in self.coeffs for x in c))
         if content <= 1:
             return self
-        return Poly([(re // content, im // content) for re, im in self.coeffs])
+        return _wrap(tuple([(re // content, im // content) for re, im in self.coeffs]))
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
@@ -160,6 +175,28 @@ class Poly:
             return "Poly('0')"
         parts = [f"({re}{im:+}i)*p^{k}" for k, (re, im) in enumerate(self.coeffs) if re or im]
         return f"Poly({' + '.join(parts)!r})"
+
+
+def _wrap(coeffs: tuple) -> Poly:
+    """A Poly on a coefficient tuple already in normal form: (re, im) int
+    pairs, the last one nonzero."""
+    poly = object.__new__(Poly)
+    poly.coeffs = coeffs
+    return poly
+
+
+def _trimmed(coeffs: list) -> Poly:
+    """A Poly on (re, im) int pairs whose top ones may have cancelled."""
+    while coeffs and coeffs[-1] == (0, 0):
+        coeffs.pop()
+    return _wrap(tuple(coeffs))
+
+
+@lru_cache(maxsize=None)
+def _power(base: Poly, k: int) -> Poly:
+    """base ** k, shared by every profile: residue_functions raises only
+    the differences of the positions 0, 1 and p (+-1, +-p, +-(p - 1))."""
+    return base ** k
 
 
 @lru_cache(maxsize=None)
@@ -185,9 +222,36 @@ def residue_functions(profile: OrderProfile) -> tuple[tuple[Poly, Poly], ...]:
         num = Poly()
         for j in range(top + 1):
             weight = comb(bl + j - 1, j) * comb(bm + top - j - 1, top - j)
-            num = num + weight * dl ** (top - j) * dm ** j
-        out.append(((-1) ** top * num, dl ** (bl + top) * dm ** (bm + top)))
+            num = num + weight * _power(dl, top - j) * _power(dm, j)
+        out.append(((-1) ** top * num, _power(dl, bl + top) * _power(dm, bm + top)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _eliminant_pieces(profile: OrderProfile, a: int, j: int) -> tuple[Poly, Poly]:
+    """num_a * den_j and num_j * den_a: the parts of the eliminant against
+    poles a and j that do not depend on the residues."""
+    funcs = residue_functions(profile)
+    (num_a, den_a), (num_j, den_j) = funcs[a], funcs[j]
+    return num_a * den_j, num_j * den_a
+
+
+def _strip_degenerate(g: Poly) -> Poly:
+    """g with every factor p and p - 1 divided out, stopping at degree 0:
+    p by dropping zero constant coefficients, p - 1 by synthetic division
+    whenever the coefficients sum to zero.  A nonzero constant neither
+    vanishes at 0 nor sums to zero, so both loops stop there at the latest."""
+    coeffs = g.coeffs
+    low = 0
+    while coeffs[low] == (0, 0):
+        low += 1
+    re, im = (list(part) for part in zip(*coeffs[low:]))
+    while not sum(re) and not sum(im):
+        # The quotient's coefficients are the suffix sums of g's, the
+        # constant one left out.
+        re = list(accumulate(reversed(re)))[-2::-1]
+        im = list(accumulate(reversed(im)))[-2::-1]
+    return _wrap(tuple(zip(re, im)))
 
 
 def oracle_count(profile: OrderProfile, residues: ResidueTuple) -> int:
@@ -212,24 +276,19 @@ def oracle_count(profile: OrderProfile, residues: ResidueTuple) -> int:
     if profile.n == 2:
         return 1
 
-    funcs = residue_functions(profile)
     values = list(zip(*residues.rows))
     anchor = next(i for i in range(3) if values[i] != (0, 0))
     j = 1 if anchor == 0 else 0
-    (num_a, den_a), (num_j, den_j) = funcs[anchor], funcs[j]
-    g = num_a * den_j * values[j] - num_j * den_a * values[anchor]
+    num_a_den_j, num_j_den_a = _eliminant_pieces(profile, anchor, j)
+    g = num_a_den_j * values[j] - num_j_den_a * values[anchor]
     if not g:
         raise DegenerateInput(
             "residue proportionality is identically satisfied; "
             "the configuration is not rigid"
         )
-    for root in (Poly.variable(), Poly([-1, 1])):  # p and p - 1
-        while g.degree > 0:
-            q, r = g.pseudo_divmod(root)
-            if r:
-                break
-            g = q
-    repeated = Poly.gcd(g, g.derivative()).degree
+    g = _strip_degenerate(g)
+    # A g of degree 1 or less has no repeated root.
+    repeated = Poly.gcd(g, g.derivative()).degree if g.degree > 1 else 0
     if repeated > 0:
         warnings.warn(
             "elimination polynomial has a repeated root; counting distinct roots",

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -92,6 +93,49 @@ class TestPoly:
         assert poly(7, (1, 2), 3, (0, -1)).derivative() == poly((1, 2), 6, (0, -3))
 
 
+_GAUSSIAN_INTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+_POLYS = st.lists(_GAUSSIAN_INTS, max_size=6).map(Poly)
+_SCALARS = st.one_of(st.integers(-3, 3), _GAUSSIAN_INTS, st.just(0), st.just((0, 0)))
+
+
+@st.composite
+def _cancelling_pair(draw):
+    """Two polynomials, often with b's top coefficients the negatives of
+    a's, so that a + b loses its top."""
+    a, b = draw(_POLYS), draw(_POLYS)
+    if draw(st.booleans()):
+        shared = draw(st.integers(0, len(a.coeffs)))
+        low = draw(st.lists(_GAUSSIAN_INTS, min_size=len(a.coeffs) - shared,
+                            max_size=len(a.coeffs) - shared))
+        b = Poly(low + [(-re, -im) for re, im in a.coeffs[len(low):]])
+    return a, b
+
+
+def assert_normal(result):
+    # What the public constructor makes of the same coefficients.
+    assert isinstance(result, Poly)
+    assert result == Poly(list(result.coeffs))
+    assert result.degree == Poly(list(result.coeffs)).degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cancelling_pair(), _SCALARS)
+def test_internal_results_are_normalized(pair, scalar):
+    a, b = pair
+    for result in (a + b, a - b, b - a, a - a, a + -a, -a, a * b, a * scalar,
+                   scalar * a, a.derivative(), a.primitive(), (a + b).primitive()):
+        assert_normal(result)
+    for num, den in ((a, b), (a + b, b), (b, a), (a * b, a), (b, Poly(a.coeffs[-1:]))):
+        if not den:
+            continue
+        q, r = num.pseudo_divmod(den)
+        assert_normal(q)
+        assert_normal(r)
+        k = max(num.degree - den.degree + 1, 0)
+        assert Poly([den.coeffs[-1]]) ** k * num == q * den + r
+        assert r.degree < den.degree
+
+
 def same_fraction(f, g):
     return f[0] * g[1] == g[0] * f[1]
 
@@ -121,8 +165,10 @@ class TestResidueFunctions:
             residue_functions(OrderProfile(0, (1, 1)))
 
 
-def _strip_degenerate(g):
-    """g with every factor p and p - 1 divided out."""
+def _strip_by_pseudo_division(g):
+    """g with every factor p and p - 1 divided out, one pseudo-division per
+    factor: the loop the oracle ran before it shifted and divided
+    synthetically, kept as the reference."""
     for root in (P, poly(-1, 1)):
         while g.degree > 0:
             q, r = g.pseudo_divmod(root)
@@ -147,7 +193,7 @@ def test_dropped_eliminant_is_a_unit_multiple():
         anchors.add(anchor)
         num_a, den_a = funcs[anchor]
         kept, dropped = (
-            _strip_degenerate(
+            _strip_by_pseudo_division(
                 num_a * funcs[j][1] * values[j] - funcs[j][0] * den_a * values[anchor]
             )
             for j in range(3)
@@ -155,6 +201,62 @@ def test_dropped_eliminant_is_a_unit_multiple():
         )
         assert dropped in (kept, -kept)
     assert anchors == {0, 1}
+
+
+# h(0) != 0 != h(1); the constant ones make g exactly c p^k (p - 1)^l.
+STRIP_COFACTORS = [
+    poly(1),
+    poly((2, -3)),
+    poly(2, 1),
+    poly(-2, 1) ** 2,
+    poly((0, 1), (1, 1), 3),
+    poly(5, -7, 0, 1, (0, -2)),
+]
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("l", range(4))
+def test_strip_matches_the_division_loop(k, l):
+    for h in STRIP_COFACTORS:
+        at_one = tuple(map(sum, zip(*h.coeffs)))
+        assert h.coeffs[0] != (0, 0) and at_one != (0, 0)
+        for c in (1, (3, -2), (0, -1)):
+            g = h * c * P ** k * poly(-1, 1) ** l
+            stripped = oracle._strip_degenerate(g)
+            assert stripped == _strip_by_pseudo_division(g) == h * c
+            assert stripped.degree == h.degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POLYS.filter(bool), st.integers(0, 3), st.integers(0, 3))
+def test_strip_matches_the_division_loop_on_any_cofactor(h, k, l):
+    # h may itself vanish at 0 or 1, or be a constant.
+    g = h * P ** k * poly(-1, 1) ** l
+    assert oracle._strip_degenerate(g) == _strip_by_pseudo_division(g)
+
+
+@contextmanager
+def _patched_functions(monkeypatch):
+    """residue_functions replaced by functions that sum to zero, as real ones
+    do, and whose eliminant against rho = (1, 1, -2) is (p - 2)^2: a double
+    root away from 0 and 1.  The oracle's per-profile pieces are cleared on
+    entry and on exit, so it reads the patch whatever ran before and no
+    later call reads pieces built from it."""
+    double = poly(-2, 1) ** 2
+    funcs = ((double, poly(1)), (Poly(), poly(1)), (-double, poly(1)))
+    oracle._eliminant_pieces.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "residue_functions", lambda profile: funcs)
+            yield
+    finally:
+        oracle._eliminant_pieces.cache_clear()
+
+
+@pytest.fixture
+def patched_residue_functions(monkeypatch):
+    with _patched_functions(monkeypatch):
+        yield
 
 
 class TestOracleCount:
@@ -189,15 +291,30 @@ class TestOracleCount:
         profile = OrderProfile(1, (1, 1, 1))
         assert oracle_count(profile, residues(0, 1, -1)) == 0
 
-    def test_repeated_root_warns_and_counts_once(self, monkeypatch):
-        # Residue functions that sum to zero, as real ones do, and whose
-        # eliminant against rho = (1, 1, -2) is (p - 2)^2: a double root
-        # away from 0 and 1.
-        double = poly(-2, 1) ** 2
-        funcs = ((double, poly(1)), (Poly(), poly(1)), (-double, poly(1)))
-        monkeypatch.setattr(oracle, "residue_functions", lambda profile: funcs)
+    def test_repeated_root_warns_and_counts_once(self, patched_residue_functions):
         with pytest.warns(TransversalityWarning):
             assert oracle_count(OrderProfile(1, (1, 1, 1)), residues(1, 1, -2)) == 1
+
+    def test_pieces_are_built_once_per_profile_and_anchor(self):
+        profile = OrderProfile.from_pole_orders((2, 2, 3))
+        oracle._eliminant_pieces.cache_clear()
+        for values in [(2, -1, -1), (3, 1, -4), (0, 1, -1), (0, 5, -5)]:
+            oracle_count(profile, residues(*values))
+        info = oracle._eliminant_pieces.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_patched_functions_reach_a_filled_pieces_entry(self, monkeypatch):
+        # The real pieces of (1; 1, 1, 1) at anchor 0 are cached first, as
+        # any earlier test may have done; the patch must still be seen, and
+        # must not outlive the test.
+        profile = OrderProfile(1, (1, 1, 1))
+        assert oracle_count(profile, residues(1, 2, -3)) == 1
+        with _patched_functions(monkeypatch):
+            with pytest.warns(TransversalityWarning):
+                assert oracle_count(profile, residues(1, 1, -2)) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle_count(profile, residues(1, 1, -2)) == 1
 
     @pytest.mark.parametrize(
         "b", [bb for bb in product(range(1, 5), repeat=3) if sum(bb) <= 9]
