@@ -37,7 +37,7 @@ from .oracle import (
     oracle_count,
     residue_functions,
 )
-from .partitions import enumerate_partitions, iter_set_partitions
+from .partitions import enumerate_partitions
 from .profiles import (
     MAX_ENUMERATED_POLES,
     MAX_POLES,
@@ -90,7 +90,6 @@ __all__ = [
     "indices_from_mask",
     "induced_structures",
     "is_refinement",
-    "iter_set_partitions",
     "mask_from_indices",
     "multipliers_to_residues",
     "oracle_count",

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from ._linalg import _normalize, kernel_reduce, mask_dot
 from .counting import count_general
-from .partitions import enumerate_partitions
+from .partitions import _qualifying_masks, walk_partitions, zero_sum_plan
 from .profiles import (
     Mask,
     OrderProfile,
@@ -93,14 +93,16 @@ def twist(graph: TwoLevelGraph, profile: OrderProfile) -> int:
 
 
 @lru_cache(maxsize=None)
-def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[TwoLevelGraph, ...]:
+def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[tuple[Mask, ...], ...]:
     """The rigid strata of imposing the new condition on the previous
-    structure, in the listing order of ``enumerate_partitions``.
+    structure, as tuples of block masks in the listing order of
+    ``enumerate_partitions``: by part count, sorted within a count.
 
     They are the zero-sum partitions of the enlarged structure into at
-    least two parts that are not zero-sum partitions of the previous one:
-    setting every block sum to zero then adds exactly one condition, the
-    new one, so the node residues are pinned up to scale.
+    least two parts that are not zero-sum partitions of the previous one,
+    so those with a part that does not qualify for it: setting every block
+    sum to zero then adds exactly one condition, the new one, so the node
+    residues are pinned up to scale.
 
     The new subset must be independent of the previous structure.
     """
@@ -108,14 +110,9 @@ def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[Two
     new_subset = canonical_mask(new_subset, n)
     if new_subset in previous.closure:
         raise ValueError("the new condition must not already hold")
-    current = structure_from_generators(n, previous.generators + (new_subset,))
-    return tuple(
-        TwoLevelGraph(n, partition)
-        for s, partitions in enumerate_partitions(current).items()
-        if s >= 2
-        for partition in partitions
-        if any(canonical_mask(part, n) not in previous.closure for part in partition)
-    )
+    plan = zero_sum_plan(structure_from_generators(n, previous.generators + (new_subset,)))
+    fresh = set(plan.parts) - _qualifying_masks(previous)  # never the whole pole set
+    return tuple(sorted(walk_partitions(plan, n, fresh), key=len))
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,15 +204,15 @@ def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, 
     # The level's pivot row, which kernel_reduce eliminates: the rows before it
     # lie in V_k's kernel, so a rigid stratum's node vector is its block sums.
     pivot = next((row for row in structure_kernel(previous) if mask_dot(row, new_subset)), None)
-    # Strata share blocks and node vectors: each is resolved once per level.
+    # Strata share blocks, node vectors and induced sets: each is resolved once per level.
     top = cache(lambda block: _top(current, block) if block.bit_count() > 1 else None)
     dot = cache(lambda block: mask_dot(pivot, block))
     bottom = cache(lambda node: _bottom(_normalize(node)))
+    induced = cache(lambda tops, node: InducedStructures(tops, bottom(node), 1))
     strata = []
-    for graph in boundary_graphs(previous, new_subset):
-        blocks = graph.blocks
-        induced = InducedStructures(tuple(map(top, blocks)), bottom(tuple(map(dot, blocks))), 1)
-        strata.append(_Stratum(tuple(map(pole_indices, blocks)), induced))
+    for blocks in boundary_graphs(previous, new_subset):
+        shared = induced(tuple(map(top, blocks)), tuple(map(dot, blocks)))
+        strata.append(_Stratum(tuple(map(pole_indices, blocks)), shared))
     return current, levels + (_Level(indices_from_mask(new_subset), tuple(strata)),)
 
 

@@ -11,7 +11,7 @@ works out once per structure which remaining sets this reaches and the moves
 out of each, so a sum over all partitions is a dynamic programme over those
 sets (the set-partition recursion of Bjorklund, Husfeldt and Koivisto, *Set
 partitioning via inclusion-exclusion*, SIAM J. Comput. 2009), and only a
-listing visits each partition.  A move is the part it removes, leading to
+walk visits each partition.  A move is the part it removes, leading to
 ``remaining ^ part``, and a set's moves are one 16-bit ``array('H')``.  They
 cost the fewer of its lowest pole's qualifying masks and its 2^(|R|-1)
 submasks that hold that pole, so a sparse plan grows with its closure, not 2^n.
@@ -31,24 +31,6 @@ ZeroSumPartition = tuple[Mask, ...]
 # batch over a shared pool of structures meets, and a bound on a long batch
 # over distinct dense ones, whose listing has a Bell number of entries.
 _CACHED_STRUCTURES = 128
-
-
-def iter_set_partitions(mask: Mask):
-    """Yield every partition of the bits of mask into nonempty blocks, each
-    partition given with its blocks ordered by smallest element."""
-    if mask == 0:
-        yield ()
-        return
-    pivot = mask & -mask
-    rest = mask ^ pivot
-    sub = rest
-    while True:
-        block = pivot | sub
-        for tail in iter_set_partitions(mask ^ block):
-            yield (block,) + tail
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
 
 
 def _qualifying_masks(structure: VanishingStructure) -> frozenset:
@@ -129,21 +111,28 @@ def zero_sum_plan(structure: VanishingStructure) -> ZeroSumPlan:
     return ZeroSumPlan(moves, parts, tuple((s, c) for s, c in enumerate(by_s) if c))
 
 
+def walk_partitions(plan: ZeroSumPlan, n: int, fresh=None):
+    """Yield the plan's zero-sum partitions in sorted order, parts ordered by
+    smallest pole: depth first, each set's moves in increasing order.  Given
+    a set of parts ``fresh``, yield only the partitions with a part in it."""
+    # Parts boxed once per move, not once per partition, so partitions share
+    # them; the empty set has no moves.
+    moves = {0: ()} | {remaining: tuple(parts) for remaining, parts in plan.moves.items()}
+
+    def walk(remaining: Mask, found: bool):
+        if found and not remaining:
+            yield ()
+        for part in moves[remaining]:
+            for tail in walk(remaining ^ part, found or part in fresh):
+                yield (part,) + tail
+
+    return walk(full_mask(n), fresh is None)
+
+
 @lru_cache(maxsize=_CACHED_STRUCTURES)
 def _partitions_by_size(structure: VanishingStructure):
-    # Parts boxed once per move, not once per partition, so partitions share
-    # them; moves in increasing order of the part list the partitions sorted.
-    moves = {remaining: tuple(parts) for remaining, parts in zero_sum_plan(structure).moves.items()}
-
-    def expand(remaining: Mask) -> list[ZeroSumPartition]:
-        if not remaining:
-            return [()]
-        return [
-            (part,) + tail for part in moves[remaining] for tail in expand(remaining ^ part)
-        ]
-
     by_size: dict[int, list[ZeroSumPartition]] = {}
-    for partition in expand(full_mask(structure.n)):
+    for partition in walk_partitions(zero_sum_plan(structure), structure.n):
         by_size.setdefault(len(partition), []).append(partition)
     return tuple((size, tuple(parts)) for size, parts in sorted(by_size.items()))
 

@@ -126,12 +126,6 @@ class ResidueTuple:
     def is_zero(self) -> bool:
         return not any(self.values)
 
-    def subset_sum(self, mask: Mask) -> GaussianRational:
-        total = GaussianRational(Fraction(0))
-        for i in indices_from_mask(mask):
-            total = total + self.values[i - 1]
-        return total
-
 
 @dataclass(frozen=True, slots=True)
 class VanishingStructure:

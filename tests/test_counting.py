@@ -20,7 +20,6 @@ from isoresidual.counting import (
 from isoresidual.errors import InterpolationMismatch, NegativeResult, NonIntegralResult
 from isoresidual.exactarith import falling_f
 from isoresidual.levelgraph import count_recursive
-from isoresidual.partitions import iter_set_partitions
 from isoresidual.profiles import (
     OrderProfile,
     all_vanishing_structures,
@@ -30,6 +29,8 @@ from isoresidual.profiles import (
     structure_from_generators,
     trivial_structure,
 )
+
+from helpers import iter_set_partitions
 
 MU_3 = OrderProfile(2, (1, 1, 2))
 MU_4 = OrderProfile(4, (2, 2, 1, 1))

@@ -18,7 +18,7 @@ from isoresidual.levelgraph import (
     induced_structures,
     twist,
 )
-from isoresidual.partitions import iter_set_partitions, zero_sum_plan
+from isoresidual.partitions import enumerate_partitions, zero_sum_plan
 from isoresidual.profiles import (
     OrderProfile,
     ResidueTuple,
@@ -34,14 +34,14 @@ from isoresidual.profiles import (
     vanishing_subsets,
 )
 
+from helpers import iter_set_partitions
+
 MU_3 = OrderProfile(2, (1, 1, 2))
 MU_4 = OrderProfile(4, (2, 2, 1, 1))
 
 
-def blocks_of(graphs):
-    return sorted(
-        tuple(indices_from_mask(b) for b in graph.blocks) for graph in graphs
-    )
+def blocks_of(strata):
+    return sorted(tuple(indices_from_mask(b) for b in blocks) for blocks in strata)
 
 
 class TestTwoLevelGraph:
@@ -86,18 +86,32 @@ def rigid_strata_by_walk(previous, new_subset):
         graph = TwoLevelGraph(n, blocks)
         # Unwrapped, so the walk's many non-rigid graphs stay out of the cache.
         if induced_structures.__wrapped__(graph, previous).bottom_dim == 1:
-            out.append(graph)
+            out.append(blocks)
     return out
+
+
+def strata_by_listing(previous, new_subset):
+    """Reference for the order of boundary_graphs: the enlarged structure's
+    listing, partitions into at least two parts in listing order, kept when
+    a part's canonical mask lies outside the previous closure."""
+    n = previous.n
+    current = structure_from_generators(n, previous.generators + (canonical_mask(new_subset, n),))
+    return [
+        partition
+        for s, partitions in enumerate_partitions(current).items()
+        if s >= 2
+        for partition in partitions
+        if any(canonical_mask(part, n) not in previous.closure for part in partition)
+    ]
 
 
 def assert_strata_match(steps):
     for previous, new_subset in steps:
-        graphs = boundary_graphs(previous, new_subset)
-        assert len(set(graphs)) == len(graphs)
-        assert set(graphs) == set(rigid_strata_by_walk(previous, new_subset)), (
-            [indices_from_mask(g) for g in previous.generators],
-            indices_from_mask(new_subset),
-        )
+        strata = boundary_graphs(previous, new_subset)
+        where = ([indices_from_mask(g) for g in previous.generators], indices_from_mask(new_subset))
+        assert list(strata) == strata_by_listing(previous, new_subset), where
+        assert len(set(strata)) == len(strata)
+        assert set(strata) == set(rigid_strata_by_walk(previous, new_subset)), where
 
 
 class TestBoundaryGraphs:
@@ -518,6 +532,21 @@ class TestRecursionStandsAlone:
         assert count_recursive(MU_4, structure_from_generators(4, [0b0011])) == 9
         assert count_recursive(MU_4, structure_from_generators(4, [0b0011, 0b0101])) == 5
         assert count_recursive(MU_4, trivial_structure(4)) == 12
+
+    def test_lists_no_partitions(self, monkeypatch):
+        # The strata come from a walk over the plan: no listing of V_k and
+        # no graph object per stratum.
+        def refuse(*args):
+            raise AssertionError("the recursion listed partitions or built a graph")
+
+        # Cleared first, so a cached program or count cannot hide a listing.
+        for cache in (levelgraph._program, boundary_graphs, levelgraph._recursive_total):
+            cache.cache_clear()
+        monkeypatch.setattr("isoresidual.partitions.enumerate_partitions", refuse)
+        monkeypatch.setattr("isoresidual.partitions._partitions_by_size", refuse)
+        monkeypatch.setattr(levelgraph, "TwoLevelGraph", refuse)
+        profile, structure = dense_chain(8)
+        assert count_recursive(profile, structure) == count_closed_form(profile, structure).total
 
     @pytest.mark.parametrize("n, subset", [(12, 0b111), (12, 0b101001), (16, 0b11), (16, 0b1010101)])
     def test_one_vanishing_up_to_sixteen_poles(self, n, subset):

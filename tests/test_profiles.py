@@ -36,6 +36,8 @@ from isoresidual.profiles import (
     vanishing_subsets,
 )
 
+from helpers import subset_sum
+
 
 def gr(x):
     return GaussianRational(Fraction(x))
@@ -83,8 +85,8 @@ class TestResidueTuple:
 
     def test_subset_sum(self):
         rho = residues(1, -1, 2, -2)
-        assert rho.subset_sum(0b0011) == gr(0)
-        assert rho.subset_sum(0b0101) == gr(3)
+        assert subset_sum(rho, 0b0011) == gr(0)
+        assert subset_sum(rho, 0b0101) == gr(3)
 
     def test_is_zero(self):
         assert residues(0, 0).is_zero()
@@ -363,7 +365,7 @@ def test_vanishing_structure_matches_realization(data):
     rho = realize_residues(structure, data.draw(st.integers(0, 100)))
     for mask in range(1, full_mask(n)):
         expected = structure.contains(mask)
-        assert (rho.subset_sum(mask) == gr(0)) == expected
+        assert (subset_sum(rho, mask) == gr(0)) == expected
 
 
 def _cancelling(draw, count, cancel):
@@ -401,7 +403,7 @@ def grouped_residues(draw):
 @given(grouped_residues())
 def test_vanishing_subsets_matches_direct_scan(rho):
     expected = frozenset(
-        m for m in range(1, full_mask(rho.n), 2) if rho.subset_sum(m) == gr(0)
+        m for m in range(1, full_mask(rho.n), 2) if subset_sum(rho, m) == gr(0)
     )
     assert rho.rows == tuple(zip(*scaled_to_gaussian_integers(rho.values)))
     assert_structure_by_definition(vanishing_subsets(rho), expected)

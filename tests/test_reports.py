@@ -4,7 +4,8 @@ The corpus is the README's `count` examples, three `oracle` calls, two
 `multipliers` calls (one with both cross-checks), four `batch` files (the
 second is one `rho` line at the 16-pole maximum, the third dense
 `vanishings` lines of rank n-3 and n-2, the fourth one structure on every
-line, so its listing is reused), one traced recursion and one
+line, so its listing is reused), two traced recursions (the second the
+dense chain at n = 8, whose six levels pin the order of the strata) and one
 dense `count --json` whose partition listing runs to Bell-number length.
 A change that is meant to keep reports byte-identical must pass unchanged;
 a change that alters a report updates its digest and says which fields
@@ -116,6 +117,12 @@ CORPUS = [
          "--recursive", "--trace", "--json"),
         "795da75d36b3a5b84275c373b8b3a99e3cd93d4bf7ebcc351856eab39bdf7fd9",
         id="count-recursive-trace",
+    ),
+    pytest.param(
+        ("count", "--b", "2,2,2,2,2,2,1,1", "--vanishings", "1;2;3;4;5;6",
+         "--recursive", "--trace", "--json"),
+        "bb984f5bdc95d7363aef3287118e2f174b13974b2ba60ee5252787bb4481a417",
+        id="count-recursive-trace-dense-chain",
     ),
     pytest.param(
         ("batch", DENSE_LINES),
