@@ -13,16 +13,16 @@ partitions of V_k, and the counts on the right are recursive counts down to
 falling_f(a, n).  The final value must agree with the closed form, with
 which the recursion shares only the zero-sum partitions.
 
-None of this depends on the pole orders, so it is worked out once per
-generator sequence: ``_program`` extends its prefix's program by one level
-of strata, their blocks as 0-based pole-index tuples with the structures
-they induce.  Every stratum is rigid, so those are read per level, not per
-stratum: a top is V_k on its block's poles, cached per (V_k, block), and
-the bottom is the zero-sum structure of the node vector, the block sums of
-the level's pivot row of V_{k-1}'s kernel, cached per vector.  A profile
-then runs one loop over the program that only reads its orders at those
-indices, sums them and looks up memoized sub-counts; the same loop fills the
-trace when one is asked for.
+None of this depends on the pole orders, so each step (V_{k-1}, new subset)
+is compiled once, in ``boundary_graphs``: its strata, their blocks as 0-based
+pole-index tuples with the structures they induce.  Every stratum is rigid,
+so those are read per step, not per stratum: a top is V_k on its block's
+poles, cached per (V_k, block), and the bottom is the zero-sum structure of
+the node vector, the block sums of the step's pivot row of V_{k-1}'s kernel,
+cached per vector.  ``_program`` folds a generator sequence over its steps,
+and a profile then runs one loop over the steps that only reads its orders
+at those indices, sums them and looks up memoized sub-counts; the same loop
+fills the trace when one is asked for.
 """
 
 from __future__ import annotations
@@ -92,29 +92,6 @@ def twist(graph: TwoLevelGraph, profile: OrderProfile) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[tuple[Mask, ...], ...]:
-    """The rigid strata of imposing the new condition on the previous
-    structure, as tuples of block masks in the listing order of
-    ``enumerate_partitions``: by part count, sorted within a count.
-
-    They are the zero-sum partitions of the enlarged structure into at
-    least two parts that are not zero-sum partitions of the previous one,
-    so those with a part that does not qualify for it: setting every block
-    sum to zero then adds exactly one condition, the new one, so the node
-    residues are pinned up to scale.
-
-    The new subset must be independent of the previous structure.
-    """
-    n = previous.n
-    new_subset = canonical_mask(new_subset, n)
-    if new_subset in previous.closure:
-        raise ValueError("the new condition must not already hold")
-    plan = zero_sum_plan(structure_from_generators(n, previous.generators + (new_subset,)))
-    fresh = set(plan.parts) - _qualifying_masks(previous)  # never the whole pole set
-    return tuple(sorted(walk_partitions(plan, n, fresh), key=len))
-
-
 @dataclass(frozen=True, slots=True)
 class InducedStructures:
     """What a boundary stratum imposes on its pieces.
@@ -172,11 +149,6 @@ class _Stratum(NamedTuple):
     induced: InducedStructures
 
 
-class _Level(NamedTuple):
-    generator: tuple[int, ...]  # the condition imposed, as 1-based poles
-    strata: tuple[_Stratum, ...]
-
-
 @lru_cache(maxsize=None)
 def _top(current: VanishingStructure, block: Mask) -> VanishingStructure:
     """What V_k induces on one block's poles: the top of that block in every
@@ -191,29 +163,52 @@ def _bottom(node: tuple[int, ...]) -> VanishingStructure:
 
 
 @lru_cache(maxsize=None)
-def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, tuple[_Level, ...]]:
-    """The recursion for one generator sequence, worked out once and shared
-    by every order profile: the structure the sequence reaches, and each
-    level's strata with the structures they induce, the levels of its prefix
-    shared.  A dependent generator raises ValueError."""
-    if not generators:
-        return trivial_structure(n), ()
-    previous, levels = _program(n, generators[:-1])
-    new_subset = generators[-1]
+def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[_Stratum, ...]:
+    """The rigid strata of imposing the new condition on the previous
+    structure, compiled once per step (V_{k-1}, new subset) with the
+    structures they induce, in the listing order of ``enumerate_partitions``:
+    by part count, sorted within a count.
+
+    They are the zero-sum partitions of the enlarged structure into at
+    least two parts that are not zero-sum partitions of the previous one,
+    so those with a part that does not qualify for it: setting every block
+    sum to zero then adds exactly one condition, the new one, so the node
+    residues are pinned up to scale.
+
+    The new subset must be independent of the previous structure.
+    """
+    n = previous.n
+    new_subset = canonical_mask(new_subset, n)
+    if new_subset in previous.closure:
+        raise ValueError("the new condition must not already hold")
     current = structure_from_generators(n, previous.generators + (new_subset,))
-    # The level's pivot row, which kernel_reduce eliminates: the rows before it
+    plan = zero_sum_plan(current)
+    fresh = set(plan.parts) - _qualifying_masks(previous)  # never the whole pole set
+    # The step's pivot row, which kernel_reduce eliminates: the rows before it
     # lie in V_k's kernel, so a rigid stratum's node vector is its block sums.
-    pivot = next((row for row in structure_kernel(previous) if mask_dot(row, new_subset)), None)
-    # Strata share blocks, node vectors and induced sets: each is resolved once per level.
+    pivot = next(row for row in structure_kernel(previous) if mask_dot(row, new_subset))
+    # Strata share blocks, node vectors and induced sets: each is resolved once per step.
     top = cache(lambda block: _top(current, block) if block.bit_count() > 1 else None)
     dot = cache(lambda block: mask_dot(pivot, block))
     bottom = cache(lambda node: _bottom(_normalize(node)))
     induced = cache(lambda tops, node: InducedStructures(tops, bottom(node), 1))
-    strata = []
-    for blocks in boundary_graphs(previous, new_subset):
-        shared = induced(tuple(map(top, blocks)), tuple(map(dot, blocks)))
-        strata.append(_Stratum(tuple(map(pole_indices, blocks)), shared))
-    return current, levels + (_Level(indices_from_mask(new_subset), tuple(strata)),)
+    return tuple(
+        _Stratum(tuple(map(pole_indices, blocks)), induced(tuple(map(top, blocks)), tuple(map(dot, blocks))))
+        for blocks in sorted(walk_partitions(plan, n, fresh), key=len)
+    )
+
+
+@lru_cache(maxsize=None)
+def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, tuple[tuple[_Stratum, ...], ...]]:
+    """The recursion for one generator sequence, shared by every order
+    profile: the structure the sequence reaches, and the strata of each of
+    its steps, each compiled once per step (V_{k-1}, new subset) by
+    ``boundary_graphs``.  A dependent generator raises ValueError."""
+    if not generators:
+        return trivial_structure(n), ()
+    previous, levels = _program(n, generators[:-1])
+    levels += (boundary_graphs(previous, generators[-1]),)
+    return structure_from_generators(n, previous.generators + generators[-1:]), levels
 
 
 @lru_cache(maxsize=1 << 17)
@@ -262,7 +257,7 @@ def count_recursive(
     # Per profile, only indexing, sums and memoized sub-counts.
     get = profile.b.__getitem__
     total = count_general(profile)
-    for level, (generator, strata) in enumerate(levels, start=1):
+    for level, (generator, strata) in enumerate(zip(generators, levels), start=1):
         terms = []
         correction = 0
         for blocks, induced in strata:
@@ -292,7 +287,7 @@ def count_recursive(
         if trace is not None:
             trace.append({
                 "level": level,
-                "generator": list(generator),
+                "generator": list(indices_from_mask(generator)),
                 "terms": terms,
                 "running_total": str(total),
             })

@@ -44,6 +44,12 @@ def blocks_of(strata):
     return sorted(tuple(indices_from_mask(b) for b in blocks) for blocks in strata)
 
 
+def block_masks(level):
+    """A compiled level's strata as block-mask tuples, the form the
+    references give."""
+    return [tuple(sum(1 << i for i in block) for block in stratum.blocks) for stratum in level]
+
+
 class TestTwoLevelGraph:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -107,9 +113,9 @@ def strata_by_listing(previous, new_subset):
 
 def assert_strata_match(steps):
     for previous, new_subset in steps:
-        strata = boundary_graphs(previous, new_subset)
+        strata = block_masks(boundary_graphs(previous, new_subset))
         where = ([indices_from_mask(g) for g in previous.generators], indices_from_mask(new_subset))
-        assert list(strata) == strata_by_listing(previous, new_subset), where
+        assert strata == strata_by_listing(previous, new_subset), where
         assert len(set(strata)) == len(strata)
         assert set(strata) == set(rigid_strata_by_walk(previous, new_subset)), where
 
@@ -118,11 +124,11 @@ class TestBoundaryGraphs:
     def test_three_poles_single_condition(self):
         # the singletons {1}|{2}|{3} span the condition too, but their node
         # residues range over a plane: not rigid
-        graphs = boundary_graphs(trivial_structure(3), 0b100)
+        graphs = block_masks(boundary_graphs(trivial_structure(3), 0b100))
         assert blocks_of(graphs) == [((1, 2), (3,))]
 
     def test_four_poles_pair_condition(self):
-        graphs = boundary_graphs(trivial_structure(4), 0b0011)
+        graphs = block_masks(boundary_graphs(trivial_structure(4), 0b0011))
         assert blocks_of(graphs) == [((1, 2), (3, 4))]
 
     def test_previous_structure_enters_the_span(self):
@@ -131,7 +137,7 @@ class TestBoundaryGraphs:
         # (x, y - x, -y) range over a plane; only the new zero-sum partition
         # {1,3}|{2,4} is rigid
         previous = structure_from_generators(4, [0b0011])
-        graphs = boundary_graphs(previous, 0b0101)
+        graphs = block_masks(boundary_graphs(previous, 0b0101))
         assert blocks_of(graphs) == [((1, 3), (2, 4))]
         walked = rigid_strata_by_walk(previous, 0b0101)
         assert blocks_of(walked) == [((1, 3), (2, 4))]
@@ -469,17 +475,15 @@ class TestProgramOncePerStructure:
     STRUCTURE = structure_from_generators(5, [0b00011, 0b00101])
 
     def test_a_second_profile_adds_no_cache_miss(self):
-        compiled = (levelgraph._program, levelgraph._top, levelgraph._bottom)
+        compiled = (levelgraph._program, boundary_graphs, levelgraph._top, levelgraph._bottom)
         # Cleared first, so the first profile compiles what it reads.
         for cache in compiled + (levelgraph._recursive_total,):
             cache.cache_clear()
         count_recursive(OrderProfile.from_pole_orders((2, 2, 2, 2, 2)), self.STRUCTURE)
-        graphs = boundary_graphs.cache_info().misses
         induced = induced_structures.cache_info().misses
         misses = [cache.cache_info().misses for cache in compiled]
         assert all(misses)
         count_recursive(OrderProfile.from_pole_orders((3, 2, 4, 2, 5)), self.STRUCTURE)
-        assert boundary_graphs.cache_info().misses == graphs
         assert induced_structures.cache_info().misses == induced
         assert [cache.cache_info().misses for cache in compiled] == misses
 
@@ -497,7 +501,25 @@ class TestProgramOncePerStructure:
             prefix_reached, prefix = levelgraph._program(n, generators[:-1])
             assert len(levels) == len(prefix) + 1
             assert all(level is shared for level, shared in zip(levels, prefix))
+            assert levels[-1] is boundary_graphs(prefix_reached, generators[-1])
             assert reached is structure_from_generators(n, prefix_reached.generators + generators[-1:])
+
+    def test_an_equal_step_is_compiled_once(self):
+        # The orders (a, b, c) and (b, a, c) share their third step, from
+        # the span of a and b by c: both hold that step's one level object,
+        # and once (b, a) is compiled, (b, a, c) compiles nothing new.
+        a, b, c = structure_from_generators(5, [0b00001, 0b00011, 0b00101]).generators
+        compiled = (boundary_graphs, levelgraph._top, levelgraph._bottom)
+        for cache in compiled + (levelgraph._program,):
+            cache.cache_clear()
+        _, first = levelgraph._program(5, (a, b, c))
+        levelgraph._program(5, (b, a))
+        misses = [cache.cache_info().misses for cache in compiled]
+        programs = levelgraph._program.cache_info().misses
+        _, second = levelgraph._program(5, (b, a, c))
+        assert levelgraph._program.cache_info().misses == programs + 1
+        assert len(first[2]) > 0 and second[2] is first[2]
+        assert [cache.cache_info().misses for cache in compiled] == misses
 
     def test_a_second_profile_does_no_mask_work(self, monkeypatch):
         # Orders >= 2 make every term nonzero, so the first profile builds
@@ -580,7 +602,7 @@ class TestOneStructurePerSpan:
         assert trivial_structure(6) is trivial_structure(6)
         _, structure = dense_chain(8)
         _, levels = levelgraph._program(8, structure.generators)
-        induced = [stratum.induced for level in levels for stratum in level.strata]
+        induced = [stratum.induced for level in levels for stratum in level]
         shared = [s for i in induced for s in (i.bottom, *i.tops) if s is not None]
         assert len(induced) == 876 and len(shared) > len(induced)
         for s in shared:
@@ -594,8 +616,8 @@ def assert_program_matches_the_reference(n, generators):
     strata = 0
     for k, level in enumerate(levels):
         previous = levelgraph._program(n, generators[:k])[0]
-        for blocks, induced in level.strata:
-            graph = TwoLevelGraph(n, tuple(sum(1 << i for i in block) for block in blocks))
+        for blocks, (_, induced) in zip(block_masks(level), level):
+            graph = TwoLevelGraph(n, blocks)
             # Unwrapped, so the reference fills no cache of its own.
             want = induced_structures.__wrapped__(graph, previous)
             assert want.bottom_dim == induced.bottom_dim == 1
