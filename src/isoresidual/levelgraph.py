@@ -14,23 +14,21 @@ falling_f(a, n).  The final value must agree with the closed form, with
 which the recursion shares only the zero-sum partitions.
 
 None of this depends on the pole orders, so each step (V_{k-1}, new subset)
-is compiled once, in ``boundary_graphs``: its strata, their blocks as 0-based
-pole-index tuples with the structures they induce.  Every stratum is rigid,
-so those are read per step, not per stratum: a top is V_k on its block's
-poles, cached per (V_k, block), and the bottom is the zero-sum structure of
-the node vector, the block sums of the step's pivot row of V_{k-1}'s kernel,
-cached per vector.  ``_program`` folds a generator sequence over its steps,
-and a profile then runs one loop over the steps that only reads its orders
-at those indices, sums them and looks up memoized sub-counts; the same loop
-fills the trace when one is asked for.
+is compiled once, in ``boundary_graphs``, into a block table.  Each distinct
+block is listed once, as 0-based pole indices with its top, V_k on those
+poles; each stratum as its block ids with its bottom, the zero-sum structure
+of its node vector (the block sums of the step's pivot row of V_{k-1}'s
+kernel), cached per primitive vector.  ``_program`` folds a generator
+sequence over its steps, and a profile then runs one loop over the steps
+that sums each block's orders once per step and looks up memoized
+sub-counts; the same loop fills the trace when one is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import prod
-from typing import NamedTuple
 
 from ._linalg import _normalize, kernel_reduce, mask_dot
 from .counting import count_general
@@ -142,20 +140,6 @@ def induced_structures(graph: TwoLevelGraph, previous: VanishingStructure) -> In
     return InducedStructures(tops, bottom, len(base) - len(top_kernel))
 
 
-class _Stratum(NamedTuple):
-    """A rigid stratum as the per-profile loop reads it."""
-
-    blocks: tuple[tuple[int, ...], ...]  # 0-based pole indices per component
-    induced: InducedStructures
-
-
-@lru_cache(maxsize=None)
-def _top(current: VanishingStructure, block: Mask) -> VanishingStructure:
-    """What V_k induces on one block's poles: the top of that block in every
-    rigid stratum of a step to V_k, whose block sums span V_k."""
-    return induced_on(current.n, structure_kernel(current), [1 << i for i in pole_indices(block)])
-
-
 @lru_cache(maxsize=None)
 def _bottom(node: tuple[int, ...]) -> VanishingStructure:
     """The zero-sum structure of a primitive node residue vector."""
@@ -163,11 +147,13 @@ def _bottom(node: tuple[int, ...]) -> VanishingStructure:
 
 
 @lru_cache(maxsize=None)
-def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[_Stratum, ...]:
+def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[tuple, tuple]:
     """The rigid strata of imposing the new condition on the previous
-    structure, compiled once per step (V_{k-1}, new subset) with the
-    structures they induce, in the listing order of ``enumerate_partitions``:
-    by part count, sorted within a count.
+    structure, compiled once per step (V_{k-1}, new subset) into a pair
+    (blocks, strata).  blocks lists each distinct block once, as (0-based
+    pole indices, the top V_k induces on them), the top None for a bubble;
+    strata lists (block ids, bottom) in the listing order of
+    ``enumerate_partitions``: by part count, sorted within a count.
 
     They are the zero-sum partitions of the enlarged structure into at
     least two parts that are not zero-sum partitions of the previous one,
@@ -187,22 +173,27 @@ def boundary_graphs(previous: VanishingStructure, new_subset: Mask) -> tuple[_St
     # The step's pivot row, which kernel_reduce eliminates: the rows before it
     # lie in V_k's kernel, so a rigid stratum's node vector is its block sums.
     pivot = next(row for row in structure_kernel(previous) if mask_dot(row, new_subset))
-    # Strata share blocks, node vectors and induced sets: each is resolved once per step.
-    top = cache(lambda block: _top(current, block) if block.bit_count() > 1 else None)
-    dot = cache(lambda block: mask_dot(pivot, block))
-    bottom = cache(lambda node: _bottom(_normalize(node)))
-    induced = cache(lambda tops, node: InducedStructures(tops, bottom(node), 1))
-    return tuple(
-        _Stratum(tuple(map(pole_indices, blocks)), induced(tuple(map(top, blocks)), tuple(map(dot, blocks))))
-        for blocks in sorted(walk_partitions(plan, n, fresh), key=len)
-    )
+    # The block sums span V_k, so a block's top is V_k on its poles.
+    kernel = structure_kernel(current)
+    ids: dict[Mask, int] = {}
+    blocks, dots, strata = [], [], []
+    for partition in sorted(walk_partitions(plan, n, fresh), key=len):
+        for block in partition:
+            if block not in ids:
+                ids[block] = len(blocks)
+                poles = pole_indices(block)
+                blocks.append((poles, induced_on(n, kernel, [1 << i for i in poles]) if len(poles) > 1 else None))
+                dots.append(mask_dot(pivot, block))
+        stratum = tuple(map(ids.__getitem__, partition))
+        strata.append((stratum, _bottom(_normalize(tuple(dots[i] for i in stratum)))))
+    return tuple(blocks), tuple(strata)
 
 
 @lru_cache(maxsize=None)
-def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, tuple[tuple[_Stratum, ...], ...]]:
+def _program(n: int, generators: tuple[Mask, ...]) -> tuple[VanishingStructure, tuple[tuple[tuple, tuple], ...]]:
     """The recursion for one generator sequence, shared by every order
-    profile: the structure the sequence reaches, and the strata of each of
-    its steps, each compiled once per step (V_{k-1}, new subset) by
+    profile: the structure the sequence reaches, and the block table of
+    each of its steps, each compiled once per step (V_{k-1}, new subset) by
     ``boundary_graphs``.  A dependent generator raises ValueError."""
     if not generators:
         return trivial_structure(n), ()
@@ -257,29 +248,32 @@ def count_recursive(
     # Per profile, only indexing, sums and memoized sub-counts.
     get = profile.b.__getitem__
     total = count_general(profile)
-    for level, (generator, strata) in enumerate(zip(generators, levels), start=1):
+    for level, (generator, (blocks, strata)) in enumerate(zip(generators, levels), start=1):
+        sums = [sum(map(get, poles)) for poles, _ in blocks]
+        factors = [None] * len(blocks)  # (b_J - 1, N_top) per block, on its first use
         terms = []
         correction = 0
-        for blocks, induced in strata:
-            orders = [tuple(map(get, block)) for block in blocks]
-            sums = tuple(map(sum, orders))
-            bottom_count = term = _recursive_total(sums, induced.bottom)
+        for stratum, bottom in strata:
+            bottom_count = term = _recursive_total(tuple(map(sums.__getitem__, stratum)), bottom)
             top_factors = []
-            for block_orders, block_total, top in zip(orders, sums, induced.tops):
+            for i in stratum:
                 if term == 0:
                     break
+                poles, top = blocks[i]
                 if top is None:
                     # Semistable bubble: (order-1) * falling_f(order-2, 1) == 1.
                     continue
-                top_count = _recursive_total(block_orders, top)
-                term *= (block_total - 1) * top_count
-                top_factors.append((block_total - 1, top_count))
+                factor = factors[i]
+                if factor is None:
+                    factor = factors[i] = (sums[i] - 1, _recursive_total(tuple(map(get, poles)), top))
+                term *= factor[0] * factor[1]
+                top_factors.append(factor)
             correction += term
             if trace is not None:
                 terms.append({
-                    "blocks": [[i + 1 for i in block] for block in blocks],
-                    "twist": str(prod(total - 1 for total in sums)),
-                    "bottom_dim": induced.bottom_dim,
+                    "blocks": [[i + 1 for i in blocks[b][0]] for b in stratum],
+                    "twist": str(prod(sums[b] - 1 for b in stratum)),
+                    "bottom_dim": 1,
                     "factors": [str(bottom_count)] + [f"{t}*{c}" for t, c in top_factors],
                     "term": str(term),
                 })

@@ -18,16 +18,18 @@ from isoresidual.counting import (
     zero_identity_value,
 )
 from isoresidual.errors import InterpolationMismatch, NegativeResult, NonIntegralResult
-from isoresidual.exactarith import falling_f
+from isoresidual.exactarith import GaussianRational, falling_f
 from isoresidual.levelgraph import count_recursive
 from isoresidual.profiles import (
     OrderProfile,
+    ResidueTuple,
     all_vanishing_structures,
     canonical_mask,
     full_mask,
     identically_zero_structure,
     structure_from_generators,
     trivial_structure,
+    vanishing_subsets,
 )
 
 from helpers import iter_set_partitions
@@ -163,6 +165,16 @@ class TestMonotonicity:
         assert check_monotonicity(MU_4, trivial, one)
         assert check_monotonicity(MU_4, one, two)
         assert check_monotonicity(MU_4, two, zero)
+
+    def test_false_when_the_count_does_not_drop(self):
+        # Simple poles with residues (t, -t, -t, t) admit no differential,
+        # and neither does the zero tuple: 0 -> 0 is no strict drop.
+        profile = OrderProfile.from_pole_orders((1, 1, 1, 1))
+        values = tuple(GaussianRational(Fraction(v)) for v in (1, -1, -1, 1))
+        structure = vanishing_subsets(ResidueTuple(values))
+        zero = identically_zero_structure(4)
+        assert count_closed_form(profile, structure).total == count_closed_form(profile, zero).total == 0
+        assert check_monotonicity(profile, structure, zero) is False
 
     def test_rejects_non_refinement(self):
         with pytest.raises(ValueError):

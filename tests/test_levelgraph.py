@@ -47,7 +47,8 @@ def blocks_of(strata):
 def block_masks(level):
     """A compiled level's strata as block-mask tuples, the form the
     references give."""
-    return [tuple(sum(1 << i for i in block) for block in stratum.blocks) for stratum in level]
+    table, strata = level
+    return [tuple(sum(1 << i for i in table[i][0]) for i in stratum) for stratum, _ in strata]
 
 
 class TestTwoLevelGraph:
@@ -170,7 +171,8 @@ class TestBoundaryGraphs:
         }
         for previous, new_subset in steps:
             current = structure_from_generators(n, previous.generators + (new_subset,))
-            assert len(boundary_graphs(previous, new_subset)) == (
+            _, strata = boundary_graphs(previous, new_subset)
+            assert len(strata) == (
                 partition_count(current) - partition_count(previous)
             )
         assert len(steps) == {2: 1, 3: 4, 4: 17, 5: 116, 6: 1787}[n]  # 1925 in all
@@ -475,7 +477,7 @@ class TestProgramOncePerStructure:
     STRUCTURE = structure_from_generators(5, [0b00011, 0b00101])
 
     def test_a_second_profile_adds_no_cache_miss(self):
-        compiled = (levelgraph._program, boundary_graphs, levelgraph._top, levelgraph._bottom)
+        compiled = (levelgraph._program, boundary_graphs, levelgraph._bottom)
         # Cleared first, so the first profile compiles what it reads.
         for cache in compiled + (levelgraph._recursive_total,):
             cache.cache_clear()
@@ -509,7 +511,7 @@ class TestProgramOncePerStructure:
         # the span of a and b by c: both hold that step's one level object,
         # and once (b, a) is compiled, (b, a, c) compiles nothing new.
         a, b, c = structure_from_generators(5, [0b00001, 0b00011, 0b00101]).generators
-        compiled = (boundary_graphs, levelgraph._top, levelgraph._bottom)
+        compiled = (boundary_graphs, levelgraph._bottom)
         for cache in compiled + (levelgraph._program,):
             cache.cache_clear()
         _, first = levelgraph._program(5, (a, b, c))
@@ -518,8 +520,19 @@ class TestProgramOncePerStructure:
         programs = levelgraph._program.cache_info().misses
         _, second = levelgraph._program(5, (b, a, c))
         assert levelgraph._program.cache_info().misses == programs + 1
-        assert len(first[2]) > 0 and second[2] is first[2]
+        assert len(first[2][1]) > 0 and second[2] is first[2]
         assert [cache.cache_info().misses for cache in compiled] == misses
+
+    def test_a_top_is_looked_up_once_per_block_and_level(self):
+        # A top sub-count is looked up on its block's first use in a level,
+        # and a zero bottom still skips the tops: the dense chain computes
+        # its 910 sub-counts and no more, in fewer hits than the 34,979 of
+        # one top lookup per stratum.
+        levelgraph._recursive_total.cache_clear()
+        count_recursive(*dense_chain(9))
+        info = levelgraph._recursive_total.cache_info()
+        assert info.misses == 910
+        assert info.hits < 34979
 
     def test_a_second_profile_does_no_mask_work(self, monkeypatch):
         # Orders >= 2 make every term nonzero, so the first profile builds
@@ -602,9 +615,10 @@ class TestOneStructurePerSpan:
         assert trivial_structure(6) is trivial_structure(6)
         _, structure = dense_chain(8)
         _, levels = levelgraph._program(8, structure.generators)
-        induced = [stratum.induced for level in levels for stratum in level]
-        shared = [s for i in induced for s in (i.bottom, *i.tops) if s is not None]
-        assert len(induced) == 876 and len(shared) > len(induced)
+        tops = [top for table, _ in levels for _, top in table if top is not None]
+        bottoms = [bottom for _, strata in levels for _, bottom in strata]
+        shared = tops + bottoms
+        assert len(bottoms) == 876 and len(shared) > len(bottoms)
         for s in shared:
             assert s is structure_from_generators(s.n, s.closure)
 
@@ -616,14 +630,19 @@ def assert_program_matches_the_reference(n, generators):
     strata = 0
     for k, level in enumerate(levels):
         previous = levelgraph._program(n, generators[:k])[0]
-        for blocks, (_, induced) in zip(block_masks(level), level):
+        table, compiled = level
+        # Each distinct block once, and every one in some stratum.
+        used = {i for stratum, _ in compiled for i in stratum}
+        assert len({poles for poles, _ in table}) == len(table) == len(used)
+        for blocks, (stratum, bottom) in zip(block_masks(level), compiled):
             graph = TwoLevelGraph(n, blocks)
             # Unwrapped, so the reference fills no cache of its own.
             want = induced_structures.__wrapped__(graph, previous)
-            assert want.bottom_dim == induced.bottom_dim == 1
-            assert induced.bottom is want.bottom
-            assert len(induced.tops) == len(want.tops)
-            assert all(top is ref for top, ref in zip(induced.tops, want.tops)), (
+            tops = [table[i][1] for i in stratum]
+            assert want.bottom_dim == 1
+            assert bottom is want.bottom
+            assert len(tops) == len(want.tops)
+            assert all(top is ref for top, ref in zip(tops, want.tops)), (
                 [indices_from_mask(g) for g in generators[:k + 1]], blocks
             )
             strata += 1
