@@ -36,7 +36,6 @@ from .profiles import (
     VanishingStructure,
     canonical_mask,
     identically_zero_structure,
-    is_refinement,
     mask_from_indices,
     pole_indices,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "count_one_vanishing",
     "count_two_nonzero",
     "zero_identity_value",
-    "check_monotonicity",
     "check_polynomial_degree",
     "DegreeFitReport",
     "degenerate_simple_poles",
@@ -207,22 +205,6 @@ def degenerate_simple_poles(profile: OrderProfile, structure: VanishingStructure
         if profile.b[i - 1] == 1 and structure.contains(1 << (i - 1)):
             out.append(i)
     return tuple(out)
-
-
-def check_monotonicity(
-    profile: OrderProfile,
-    structure: VanishingStructure,
-    refinement: VanishingStructure,
-) -> bool:
-    """True iff the count strictly drops from a structure to a strictly
-    finer one (more vanishing conditions, fewer differentials)."""
-    _check_match(profile, structure)
-    if not is_refinement(structure, refinement) or structure.closure == refinement.closure:
-        raise ValueError("second structure must strictly refine the first")
-    return (
-        count_closed_form(profile, structure).total
-        > count_closed_form(profile, refinement).total
-    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -47,16 +47,10 @@ from .profiles import (
     trivial_structure,
 )
 
-__all__ = [
-    "InducedStructures",
-    "TwoLevelGraph",
-    "twist",
-    "boundary_graphs",
-    "induced_structures",
-    "count_recursive",
-]
+__all__ = ["count_recursive"]
 
 
+# Test-only: the graph that twist and induced_structures take.
 @dataclass(frozen=True, slots=True)
 class TwoLevelGraph:
     """Partition of the poles into top components, ordered by smallest pole."""
@@ -78,6 +72,7 @@ class TwoLevelGraph:
             raise ValueError("blocks must be ordered by smallest pole")
 
 
+# Test-only: kept here while perfbench/tracing.py patches it by name.
 def twist(graph: TwoLevelGraph, profile: OrderProfile) -> int:
     """Product over top components of (total pole order - 1), the number of
     horizontal prongs at each node; zero iff some component is one simple
@@ -90,6 +85,7 @@ def twist(graph: TwoLevelGraph, profile: OrderProfile) -> int:
     return out
 
 
+# Test-only: what induced_structures returns; the tracer reads its bottom_dim.
 @dataclass(frozen=True, slots=True)
 class InducedStructures:
     """What a boundary stratum imposes on its pieces.
@@ -108,6 +104,8 @@ class InducedStructures:
     bottom_dim: int
 
 
+# The tests' reference for the compiled strata: kept here while perfbench/tracing.py
+# patches it by name.
 @lru_cache(maxsize=None)
 def induced_structures(graph: TwoLevelGraph, previous: VanishingStructure) -> InducedStructures:
     """Vanishing structures inherited by the top components and the bottom.

@@ -10,10 +10,9 @@ deg g - deg gcd(g, g'), literally count the differentials, with no input from
 the closed formula.  All of it runs over Z[i][p], with no division in Q(i).
 
 Of the work that builds g, only two scalar products depend on the residue
-tuple; the polynomial products they scale are built once per (profile,
-anchor).  The factor p is stripped from g by dropping its zero constant
-coefficients, and p - 1 by synthetic division for as long as the
-coefficients sum to zero.
+tuple; the polynomial products they scale are built once per profile.  The
+factor p is stripped from g by dropping its zero constant coefficients, and
+p - 1 by synthetic division for as long as the coefficients sum to zero.
 """
 
 from __future__ import annotations
@@ -228,12 +227,11 @@ def residue_functions(profile: OrderProfile) -> tuple[tuple[Poly, Poly], ...]:
 
 
 @lru_cache(maxsize=None)
-def _eliminant_pieces(profile: OrderProfile, a: int, j: int) -> tuple[Poly, Poly]:
-    """num_a * den_j and num_j * den_a: the parts of the eliminant against
-    poles a and j that do not depend on the residues."""
-    funcs = residue_functions(profile)
-    (num_a, den_a), (num_j, den_j) = funcs[a], funcs[j]
-    return num_a * den_j, num_j * den_a
+def _eliminant_pieces(profile: OrderProfile) -> tuple[Poly, Poly]:
+    """num_1 * den_2 and num_2 * den_1: the parts of the eliminant against
+    poles 1 and 2 that do not depend on the residues."""
+    (num_1, den_1), (num_2, den_2), _ = residue_functions(profile)
+    return num_1 * den_2, num_2 * den_1
 
 
 def _strip_degenerate(g: Poly) -> Poly:
@@ -259,13 +257,13 @@ def oracle_count(profile: OrderProfile, residues: ResidueTuple) -> int:
 
     The zero residue tuple admits no differential and counts 0.  For two
     poles the normalization is rigid and the count is 1.  For three poles,
-    with a the first pole of nonzero residue and j the first other pole,
-    r_a rho_j = r_j rho_a clears to one polynomial g in the unknown position.
-    It implies the condition at the third pole k: r_k = -r_a - r_j and
-    rho_k = -rho_a - rho_j give r_a rho_k - r_k rho_a = -(r_a rho_j - r_j rho_a),
-    and all denominators are +-p^i (p - 1)^l, factors stripped from g.  The
-    distinct roots left count as deg g - deg gcd(g, g'); a repeated root
-    triggers a TransversalityWarning but is still counted once.
+    r_1 rho_2 = r_2 rho_1 clears to one polynomial g in the unknown position;
+    rho_1 and rho_2 are not both zero, as the tuple is not.  It implies the
+    condition at pole 3: r_3 = -r_1 - r_2 and rho_3 = -rho_1 - rho_2 give
+    r_1 rho_3 - r_3 rho_1 = -(r_1 rho_2 - r_2 rho_1), and all denominators
+    are +-p^i (p - 1)^l, factors stripped from g.  The distinct roots left
+    count as deg g - deg gcd(g, g'); a repeated root triggers a
+    TransversalityWarning but is still counted once.
     """
     if profile.n not in (2, 3):
         raise ValueError("the elimination oracle handles two or three poles")
@@ -276,11 +274,9 @@ def oracle_count(profile: OrderProfile, residues: ResidueTuple) -> int:
     if profile.n == 2:
         return 1
 
-    values = list(zip(*residues.rows))
-    anchor = next(i for i in range(3) if values[i] != (0, 0))
-    j = 1 if anchor == 0 else 0
-    num_a_den_j, num_j_den_a = _eliminant_pieces(profile, anchor, j)
-    g = num_a_den_j * values[j] - num_j_den_a * values[anchor]
+    rho_1, rho_2, _ = zip(*residues.rows)
+    num_1_den_2, num_2_den_1 = _eliminant_pieces(profile)
+    g = num_1_den_2 * rho_2 - num_2_den_1 * rho_1
     if not g:
         raise DegenerateInput(
             "residue proportionality is identically satisfied; "

@@ -129,6 +129,7 @@ def walk_partitions(plan: ZeroSumPlan, n: int, fresh=None):
     return walk(full_mask(n), fresh is None)
 
 
+# Test-only, with its cache: kept here while perfbench/tracing.py patches both by name.
 @lru_cache(maxsize=_CACHED_STRUCTURES)
 def _partitions_by_size(structure: VanishingStructure):
     by_size: dict[int, list[ZeroSumPartition]] = {}

@@ -18,6 +18,24 @@ from ._linalg import Kernel, kernel_reduce, mask_dot, ones_kernel, pole_indices
 from .errors import RealizationExhausted
 from .exactarith import GaussianRational, scaled_to_gaussian_integers
 
+__all__ = [
+    "MAX_POLES",
+    "MAX_ENUMERATED_POLES",
+    "OrderProfile",
+    "ResidueTuple",
+    "VanishingStructure",
+    "full_mask",
+    "mask_from_indices",
+    "indices_from_mask",
+    "canonical_mask",
+    "structure_from_generators",
+    "trivial_structure",
+    "identically_zero_structure",
+    "vanishing_subsets",
+    "realize_residues",
+    "all_vanishing_structures",
+]
+
 MAX_POLES = 16
 
 Mask = int
@@ -293,13 +311,6 @@ def vanishing_subsets(residues: ResidueTuple) -> VanishingStructure:
     closure = _zero_sum_closure(_packed_rows(n, residues.rows))
     gens = _greedy_generators(n, closure, n - 1)  # stops when the kernel is empty
     return VanishingStructure(n, gens, closure, len(gens))
-
-
-def is_refinement(structure: VanishingStructure, other: VanishingStructure) -> bool:
-    """True iff every vanishing of the first also holds in the second."""
-    if structure.n != other.n:
-        raise ValueError("structures must have the same pole count")
-    return structure.closure <= other.closure
 
 
 def realize_residues(structure: VanishingStructure, seed: int) -> ResidueTuple:

@@ -1,11 +1,18 @@
-"""Brute-force references the tests check the package against.  No package
-path calls them: the package sums and lists zero-sum partitions through its
-plan, and finds vanishing subsets from integer rows."""
+"""Brute-force references and checks the tests hold the package to.  No
+package path calls them: the package sums and lists zero-sum partitions
+through its plan, and finds vanishing subsets from integer rows."""
 
 from fractions import Fraction
 
+from isoresidual.counting import count_closed_form
 from isoresidual.exactarith import GaussianRational
-from isoresidual.profiles import Mask, ResidueTuple, indices_from_mask
+from isoresidual.profiles import (
+    Mask,
+    OrderProfile,
+    ResidueTuple,
+    VanishingStructure,
+    indices_from_mask,
+)
 
 
 def iter_set_partitions(mask: Mask):
@@ -32,3 +39,25 @@ def subset_sum(rho: ResidueTuple, mask: Mask) -> GaussianRational:
     for i in indices_from_mask(mask):
         total = total + rho.values[i - 1]
     return total
+
+
+def is_refinement(structure: VanishingStructure, other: VanishingStructure) -> bool:
+    """True iff every vanishing of the first also holds in the second."""
+    if structure.n != other.n:
+        raise ValueError("structures must have the same pole count")
+    return structure.closure <= other.closure
+
+
+def check_monotonicity(
+    profile: OrderProfile,
+    structure: VanishingStructure,
+    refinement: VanishingStructure,
+) -> bool:
+    """True iff the count strictly drops from a structure to a strictly
+    finer one (more vanishing conditions, fewer differentials)."""
+    if not is_refinement(structure, refinement) or structure.closure == refinement.closure:
+        raise ValueError("second structure must strictly refine the first")
+    return (
+        count_closed_form(profile, structure).total
+        > count_closed_form(profile, refinement).total
+    )

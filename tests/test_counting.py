@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from isoresidual import counting, verification
 from isoresidual.counting import (
     DegreeFitReport,
-    check_monotonicity,
     check_polynomial_degree,
     count_closed_form,
     count_general,
@@ -32,7 +31,7 @@ from isoresidual.profiles import (
     vanishing_subsets,
 )
 
-from helpers import iter_set_partitions
+from helpers import check_monotonicity, iter_set_partitions
 
 MU_3 = OrderProfile(2, (1, 1, 2))
 MU_4 = OrderProfile(4, (2, 2, 1, 1))

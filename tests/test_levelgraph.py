@@ -534,6 +534,15 @@ class TestProgramOncePerStructure:
         assert info.misses == 910
         assert info.hits < 34979
 
+    def test_bottoms_are_keyed_by_primitive_node_vector(self):
+        # The dense chain at eight poles meets 26 primitive node vectors;
+        # keyed by the raw block sums, the bottoms would miss 51 times.
+        for cache in (levelgraph._bottom, boundary_graphs, levelgraph._program,
+                      levelgraph._recursive_total):
+            cache.cache_clear()
+        count_recursive(*dense_chain(8))
+        assert levelgraph._bottom.cache_info().misses == 26
+
     def test_a_second_profile_does_no_mask_work(self, monkeypatch):
         # Orders >= 2 make every term nonzero, so the first profile builds
         # the program of every sub-count the second one needs.

@@ -182,7 +182,8 @@ def test_dropped_eliminant_is_a_unit_multiple():
     # The two proportionality conditions against the anchor, built as the
     # two-eliminant oracle built them, on every three-pole case of the
     # corpus: once p and p - 1 are divided out they agree up to sign, so
-    # the oracle needs only the first.
+    # the oracle needs only the first; and so does the condition against
+    # poles 1 and 2, the one the oracle builds, whatever the anchor.
     anchors = set()
     for profile, rho in _corpus():
         if profile.n != 3:
@@ -200,6 +201,9 @@ def test_dropped_eliminant_is_a_unit_multiple():
             if j != anchor
         )
         assert dropped in (kept, -kept)
+        (num_1, den_1), (num_2, den_2), _ = funcs
+        built = _strip_by_pseudo_division(num_1 * den_2 * values[1] - num_2 * den_1 * values[0])
+        assert built in (kept, -kept)
     assert anchors == {0, 1}
 
 
@@ -295,16 +299,16 @@ class TestOracleCount:
         with pytest.warns(TransversalityWarning):
             assert oracle_count(OrderProfile(1, (1, 1, 1)), residues(1, 1, -2)) == 1
 
-    def test_pieces_are_built_once_per_profile_and_anchor(self):
+    def test_pieces_are_built_once_per_profile(self):
         profile = OrderProfile.from_pole_orders((2, 2, 3))
         oracle._eliminant_pieces.cache_clear()
         for values in [(2, -1, -1), (3, 1, -4), (0, 1, -1), (0, 5, -5)]:
             oracle_count(profile, residues(*values))
         info = oracle._eliminant_pieces.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
+        assert (info.misses, info.hits) == (1, 3)
 
     def test_patched_functions_reach_a_filled_pieces_entry(self, monkeypatch):
-        # The real pieces of (1; 1, 1, 1) at anchor 0 are cached first, as
+        # The real pieces of (1; 1, 1, 1) are cached first, as
         # any earlier test may have done; the patch must still be seen, and
         # must not outlive the test.
         profile = OrderProfile(1, (1, 1, 1))

@@ -27,7 +27,6 @@ from isoresidual.profiles import (
     full_mask,
     identically_zero_structure,
     indices_from_mask,
-    is_refinement,
     mask_from_indices,
     realize_residues,
     structure_from_generators,
@@ -36,7 +35,7 @@ from isoresidual.profiles import (
     vanishing_subsets,
 )
 
-from helpers import subset_sum
+from helpers import is_refinement, subset_sum
 
 
 def gr(x):
